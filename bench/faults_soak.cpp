@@ -23,7 +23,6 @@
 #include <random>
 
 #include "apps_runner.h"
-#include "replay/log.h"
 #include "replay/signature.h"
 #include "resil/faults.h"
 #include "util/rng.h"
@@ -43,11 +42,6 @@ int main(int argc, char** argv) {
 
   const bool recording = !record_dir->empty();
   const bool replaying = !replay_dir->empty();
-  if ((recording || replaying) && !replay::kReplayEnabled) {
-    std::fprintf(stderr,
-                 "faults_soak: --record-dir/--replay-dir need -DDFTH_REPLAY=ON\n");
-    return 1;
-  }
   if (recording && replaying) {
     std::fprintf(stderr,
                  "faults_soak: --record-dir and --replay-dir are exclusive\n");

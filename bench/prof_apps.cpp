@@ -8,9 +8,6 @@
 // are schedule-invariant, so the serial profile predicts the parallel runs.
 // The sweep runs descending so the profiler object ends the loop holding
 // the p=1 ledger (critical path / collapsed stacks are read from it last).
-//
-// With -DDFTH_PROF=OFF the binary still runs and emits records, but says
-// the profile sections will be empty and skips the work>=span>0 check.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -29,10 +26,6 @@ int main(int argc, char** argv) {
   if (!common.parse(argc, argv)) return 0;
   const auto seed = static_cast<std::uint64_t>(*common.seed);
   const SchedKind sched = sched_kind_from_string(*sched_name);
-
-  if (!obs::kProfEnabled) {
-    std::puts("note: built with -DDFTH_PROF=OFF; profiles will be empty");
-  }
 
   obs::Profiler prof;
   std::vector<bench::AppSpec> apps =
@@ -92,8 +85,7 @@ int main(int argc, char** argv) {
                   sweep[j].measured_us / 1000.0);
     }
 
-    if (obs::kProfEnabled &&
-        !(ref.profile.work_ns >= ref.profile.span_ns &&
+    if (!(ref.profile.work_ns >= ref.profile.span_ns &&
           ref.profile.span_ns > 0)) {
       std::fprintf(stderr, "%s: profile violates work >= span > 0\n",
                    slug.c_str());
@@ -103,8 +95,6 @@ int main(int argc, char** argv) {
 
   common.write_json();
   if (!ok) return 1;
-  std::puts(obs::kProfEnabled
-                ? "(inspect with: dfth-prof report PROF_matmul.json)"
-                : "(profiles empty: rebuild with -DDFTH_PROF=ON)");
+  std::puts("(inspect with: dfth-prof report PROF_matmul.json)");
   return 0;
 }

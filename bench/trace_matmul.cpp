@@ -6,9 +6,7 @@
 //
 // Runs FIFO and AsyncDF under the simulator so the two CSVs reproduce the
 // paper's headline contrast (FIFO's live-thread peak far above AsyncDF's),
-// then one RealEngine run to exercise the steady-clock path. With tracing
-// compiled out (-DDFTH_TRACE=OFF) it still runs, producing empty traces,
-// and says so.
+// then one RealEngine run to exercise the steady-clock path.
 #include <algorithm>
 #include <cstdio>
 
@@ -29,10 +27,6 @@ int main(int argc, char** argv) {
   const std::size_t n = *common.full ? 1024 : static_cast<std::size_t>(*size);
   const int p = static_cast<int>(*procs);
   const auto seed = static_cast<std::uint64_t>(*common.seed);
-
-  if (!obs::kTraceEnabled) {
-    std::puts("note: built with -DDFTH_TRACE=OFF; traces will be empty");
-  }
 
   bench::MatmulInput input(n);
 

@@ -22,11 +22,6 @@ const char* to_string(Counter c) {
     case Counter::Frees: return "frees";
     case Counter::AllocBytes: return "alloc_bytes";
     case Counter::FreeBytes: return "free_bytes";
-    case Counter::OomPreempts: return "oom_preempts";
-    case Counter::InlineRuns: return "inline_runs";
-    case Counter::SyncTimeouts: return "sync_timeouts";
-    case Counter::FaultsInjected: return "faults_injected";
-    case Counter::FaultsRecovered: return "faults_recovered";
     case Counter::kCount: break;
   }
   return "?";
@@ -40,16 +35,6 @@ const char* to_string(Hist h) {
     case Hist::kCount: break;
   }
   return "?";
-}
-
-CounterRegistry& counters() {
-  static CounterRegistry registry;
-  return registry;
-}
-
-HistogramRegistry& histograms() {
-  static HistogramRegistry registry;
-  return registry;
 }
 
 }  // namespace dfth::obs

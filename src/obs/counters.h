@@ -7,8 +7,9 @@
 // per-run operation counts even for events the ring buffer dropped or that
 // fall under the alloc-event threshold.
 //
-// Increment through DFTH_COUNT so a -DDFTH_TRACE=OFF build compiles the
-// hook to nothing (the registry itself still exists for tests/tools).
+// Increment through DFTH_COUNT / DFTH_HIST: they record only while a Tracer
+// is installed (the only consumer that resets and snapshots the
+// registries), so with none installed a hook is one load and a branch.
 #pragma once
 
 #include <atomic>
@@ -36,11 +37,6 @@ enum class Counter : int {
   Frees,
   AllocBytes,
   FreeBytes,
-  OomPreempts,      ///< heap exhaustion handled as an AsyncDF-style preempt
-  InlineRuns,       ///< children run inline on the parent's stack (degraded spawn)
-  SyncTimeouts,     ///< timed waits that expired before a waker claimed them
-  FaultsInjected,   ///< resil::FaultInjector failures injected (-DDFTH_FAULTS)
-  FaultsRecovered,  ///< injected failures absorbed by a degradation path
   kCount,
 };
 
@@ -64,8 +60,14 @@ class CounterRegistry {
   std::atomic<std::uint64_t> vals_[kNumCounters] = {};
 };
 
-/// The process-global registry.
-CounterRegistry& counters();
+namespace detail {
+inline constinit CounterRegistry g_counters;
+}  // namespace detail
+
+/// The process-global registry. Inline and constant-initialized, so a
+/// counting hook is an atomic add with no call (a call would make every
+/// hooked function save registers even when no Tracer is installed).
+inline CounterRegistry& counters() { return detail::g_counters; }
 
 // ---- log-bucketed histograms ------------------------------------------------
 //
@@ -158,31 +160,50 @@ class HistogramRegistry {
   LogHistogram hists_[kNumHists];
 };
 
-/// The process-global histogram registry.
-HistogramRegistry& histograms();
+namespace detail {
+inline constinit HistogramRegistry g_histograms;
+}  // namespace detail
+
+/// The process-global histogram registry (inline, like counters()).
+inline HistogramRegistry& histograms() { return detail::g_histograms; }
+
+class Tracer;
+
+namespace detail {
+/// The installed trace session (obs/trace.h). Engines set it at run() entry
+/// and clear it before returning.
+inline constinit std::atomic<Tracer*> g_tracer{nullptr};
+}  // namespace detail
+
+/// The active trace session, or nullptr when none is installed. Inline so
+/// a hook with nothing installed costs one load and a branch.
+inline Tracer* tracer() {
+  return detail::g_tracer.load(std::memory_order_acquire);
+}
 
 }  // namespace dfth::obs
 
-#if DFTH_TRACE
-#define DFTH_COUNT(c) ::dfth::obs::counters().inc(c)
-#define DFTH_COUNT_N(c, n) ::dfth::obs::counters().inc((c), (n))
-#define DFTH_HIST(h, v) ::dfth::obs::histograms().record((h), (v))
+#define DFTH_COUNT(c) DFTH_COUNT_N((c), 1)
+#define DFTH_COUNT_N(c, n)                                                \
+  do {                                                                    \
+    if (::dfth::obs::tracer()) ::dfth::obs::counters().inc((c), (n));     \
+  } while (0)
+#define DFTH_HIST(h, v)                                                   \
+  do {                                                                    \
+    if (::dfth::obs::tracer()) ::dfth::obs::histograms().record((h), (v)); \
+  } while (0)
 // Ready→now wait recorder for scheduler pick sites. Guarded: RealEngine
 // calls pick_next with now == uint64 max (no virtual clock), and a reused
 // Tcb's ready_at may postdate a stale now — record only sane waits.
-#define DFTH_HIST_WAIT(h, now_ns, ready_ns)                         \
-  do {                                                              \
-    const std::uint64_t dfth_hw_now_ = (now_ns);                    \
-    const std::uint64_t dfth_hw_rdy_ = (ready_ns);                  \
-    if (dfth_hw_now_ != ~std::uint64_t{0} &&                        \
-        dfth_hw_now_ >= dfth_hw_rdy_) {                             \
-      ::dfth::obs::histograms().record((h),                         \
-                                       dfth_hw_now_ - dfth_hw_rdy_); \
-    }                                                               \
+#define DFTH_HIST_WAIT(h, now_ns, ready_ns)                          \
+  do {                                                               \
+    if (::dfth::obs::tracer()) {                                     \
+      const std::uint64_t dfth_hw_now_ = (now_ns);                   \
+      const std::uint64_t dfth_hw_rdy_ = (ready_ns);                 \
+      if (dfth_hw_now_ != ~std::uint64_t{0} &&                       \
+          dfth_hw_now_ >= dfth_hw_rdy_) {                            \
+        ::dfth::obs::histograms().record((h),                        \
+                                         dfth_hw_now_ - dfth_hw_rdy_); \
+      }                                                              \
+    }                                                                \
   } while (0)
-#else
-#define DFTH_COUNT(c) ((void)0)
-#define DFTH_COUNT_N(c, n) ((void)0)
-#define DFTH_HIST(h, v) ((void)0)
-#define DFTH_HIST_WAIT(h, now_ns, ready_ns) ((void)0)
-#endif

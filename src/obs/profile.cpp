@@ -7,8 +7,6 @@
 namespace dfth::obs {
 namespace {
 
-std::atomic<Profiler*> g_profiler{nullptr};
-
 /// The displayed site name keeps only the basename — source_location hands
 /// us full build-tree paths, which would make every collapsed stack as wide
 /// as the checkout path.
@@ -23,8 +21,6 @@ std::string site_label(const std::string& file, int line) {
 }
 
 }  // namespace
-
-Profiler* profiler() { return g_profiler.load(std::memory_order_relaxed); }
 
 namespace detail {
 void set_profiler(Profiler* p) {

@@ -43,10 +43,9 @@
 //   * collapsed stacks — total work per spawn-site stack, in the
 //     "semicolon-stack value" format speedscope and flamegraph.pl load.
 //
-// Cost discipline mirrors obs/trace.h: every hook goes through a
-// DFTH_PROF_* macro that expands to ((void)0) when the build does not set
-// -DDFTH_PROF (tests/obs stringify the expansion); with profiling compiled
-// in but no Profiler installed, a hook is one relaxed pointer load and a
+// Cost discipline mirrors obs/trace.h: every build compiles the profiler
+// in, and every hook goes through a DFTH_PROF_* macro that, with no
+// Profiler installed, is one load of the inline profiler() pointer and a
 // branch. Recording takes a spin lock — the profiler favours exactness over
 // the tracer's lock-freedom, which is fine at fork/join/dispatch frequency.
 //
@@ -66,12 +65,6 @@
 #include "runtime/run_stats.h"
 
 namespace dfth::obs {
-
-#if DFTH_PROF
-inline constexpr bool kProfEnabled = true;
-#else
-inline constexpr bool kProfEnabled = false;
-#endif
 
 /// One segment of critical-path attribution: the spawn-site stack of the
 /// fiber(s) that executed it, and how many span nanoseconds they carried.
@@ -229,19 +222,20 @@ class Profiler {
   int nprocs_ = 0;
 };
 
+namespace detail {
+inline constinit std::atomic<Profiler*> g_profiler{nullptr};
+void set_profiler(Profiler* p);
+}  // namespace detail
+
 /// The active profiling session, or nullptr when none is installed. Engines
 /// install opts.profiler at run() entry and clear it before returning.
-Profiler* profiler();
-
-namespace detail {
-void set_profiler(Profiler* p);
+inline Profiler* profiler() {
+  return detail::g_profiler.load(std::memory_order_relaxed);
 }
 
 }  // namespace dfth::obs
 
-// Hook macros. OFF builds must expand to exactly ((void)0) — tests/obs
-// stringifies the expansion to prove no profiler symbol survives.
-#if DFTH_PROF
+// Hook macros: no-ops unless a Profiler is installed.
 #define DFTH_PROF_HOOK(call)                                           \
   do {                                                                 \
     if (::dfth::obs::Profiler* dfth_pr_ = ::dfth::obs::profiler()) {   \
@@ -263,14 +257,3 @@ void set_profiler(Profiler* p);
   DFTH_PROF_HOOK(steal((tid), (burden_ns)))
 #define DFTH_PROF_EXIT(tid, offset_ns) \
   DFTH_PROF_HOOK(exit_fiber((tid), (offset_ns)))
-#else
-#define DFTH_PROF_THREAD_START(child, parent, offset_ns, file, line) ((void)0)
-#define DFTH_PROF_WORK(tid, ns) ((void)0)
-#define DFTH_PROF_OVERHEAD(tid, ns) ((void)0)
-#define DFTH_PROF_DISPATCH(tid, overhead_ns, gap_ns) ((void)0)
-#define DFTH_PROF_FORK_COST(child, ns) ((void)0)
-#define DFTH_PROF_JOIN(joiner, child, offset_ns) ((void)0)
-#define DFTH_PROF_WAKE(waker, wakee, offset_ns) ((void)0)
-#define DFTH_PROF_STEAL(tid, burden_ns) ((void)0)
-#define DFTH_PROF_EXIT(tid, offset_ns) ((void)0)
-#endif

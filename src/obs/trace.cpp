@@ -5,8 +5,6 @@
 namespace dfth::obs {
 namespace {
 
-Tracer* g_tracer = nullptr;
-
 /// Map an event kind to the counter it implies, so engines don't have to
 /// pair every DFTH_TRACE_EMIT with a DFTH_COUNT. Alloc/free and stack
 /// events return kCount (no auto-bump): their counters must count *every*
@@ -155,10 +153,8 @@ std::uint64_t Tracer::dropped() const {
   return n;
 }
 
-Tracer* tracer() { return g_tracer; }
-
 namespace detail {
-void set_tracer(Tracer* t) { g_tracer = t; }
+void set_tracer(Tracer* t) { g_tracer.store(t, std::memory_order_release); }
 }  // namespace detail
 
 }  // namespace dfth::obs

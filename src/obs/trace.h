@@ -15,11 +15,9 @@
 // (obs/export.h) serve both engines.
 //
 // Cost discipline:
-//  * compile-time: every hook goes through DFTH_TRACE_EMIT / DFTH_COUNT,
-//    which expand to ((void)0) when the build does not set -DDFTH_TRACE
-//    (tests/obs verify the expansion is literally empty);
-//  * run-time: with tracing compiled in but no Tracer installed, a hook is
-//    one relaxed pointer load and a branch;
+//  * every build compiles the tracer in; it is gated at run time only. With
+//    no Tracer installed a hook (DFTH_TRACE_EMIT, DFTH_COUNT, DFTH_HIST) is
+//    one load of the inline tracer() pointer and a branch;
 //  * recording: a ring push is one relaxed fetch_add plus a 24-byte store —
 //    no locks. Rings never grow; on overflow new events are dropped and the
 //    drop is *counted*, never silent.
@@ -40,12 +38,6 @@
 #include "obs/counters.h"
 
 namespace dfth::obs {
-
-#if DFTH_TRACE
-inline constexpr bool kTraceEnabled = true;
-#else
-inline constexpr bool kTraceEnabled = false;
-#endif
 
 enum class EvKind : std::uint8_t {
   Fork,          ///< tid = parent, arg = child id
@@ -174,19 +166,15 @@ class Tracer {
   HistSnapshot hist_snapshot_[kNumHists] = {};
 };
 
-/// The active trace session, or nullptr when none is installed. Engines
-/// install opts.tracer at run() entry and clear it before returning.
-Tracer* tracer();
-
+// tracer() — the active session — is declared in obs/counters.h, whose
+// hooks it gates.
 namespace detail {
 void set_tracer(Tracer* t);
 }
 
 }  // namespace dfth::obs
 
-// Hook macros. OFF builds must expand to exactly ((void)0) — tests/obs
-// stringifies the expansion to prove no tracer symbol survives.
-#if DFTH_TRACE
+// Hook macros: no-ops unless a Tracer is installed.
 #define DFTH_TRACE_EMIT(lane, kind, tid, arg)                      \
   do {                                                             \
     if (::dfth::obs::Tracer* dfth_tr_ = ::dfth::obs::tracer()) {   \
@@ -208,8 +196,3 @@ void set_tracer(Tracer* t);
       }                                                            \
     }                                                              \
   } while (0)
-#else
-#define DFTH_TRACE_EMIT(lane, kind, tid, arg) ((void)0)
-#define DFTH_TRACE_EMIT_AT(lane, kind, ts, tid, arg) ((void)0)
-#define DFTH_TRACE_ALLOC_EVENT(lane, kind, tid, bytes) ((void)0)
-#endif

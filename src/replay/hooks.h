@@ -1,6 +1,5 @@
-// Record/replay hook macros, compiled to ((void)0) when -DDFTH_REPLAY is
-// OFF — the same zero-cost discipline as obs/trace.h and obs/profile.h
-// (tests/replay static_assert the OFF expansion).
+// Record/replay hook macros. Every build compiles record/replay in; with no
+// Session active a hook is one load of replay::active() and a branch.
 //
 // Placement contract (see replay/session.h for the protocol):
 //  * DFTH_REPLAY_GATE / _GATE_SELF run while the caller holds no
@@ -11,8 +10,6 @@
 //    pick (itself inside the dispatching lane's section), verified on replay
 //    by ReplayScheduler — never gated on.
 #pragma once
-
-#if DFTH_REPLAY
 
 #include "replay/session.h"
 
@@ -71,32 +68,3 @@
     if (auto* dfth_rs_ = ::dfth::replay::active())           \
       dfth_rs_->annotate_cancel_fire((lane), (tid));         \
   } while (0)
-
-#else  // !DFTH_REPLAY
-
-#include <cstdint>
-
-namespace dfth::replay {
-// Function-shaped hooks (serve/server.cpp threads observed values through
-// its control flow, which a statement macro cannot express): OFF-mode
-// passthroughs matching the session.h declarations.
-inline bool pinned() { return false; }
-inline bool pinned_active() { return false; }
-inline std::uint64_t observe_u64(std::uint64_t /*site*/, std::uint64_t live) {
-  return live;
-}
-}  // namespace dfth::replay
-
-#define DFTH_REPLAY_BIND_LANE(lane) ((void)0)
-#define DFTH_REPLAY_GATE(actor) ((void)0)
-#define DFTH_REPLAY_GATE_SELF() ((void)0)
-#define DFTH_REPLAY_COMMIT(kind, actor, a, b) ((void)0)
-#define DFTH_REPLAY_SYNC_GATE() ((void)0)
-#define DFTH_REPLAY_SYNC_COMMIT(obj, op) ((void)0)
-#define DFTH_REPLAY_SYNC_DESTROY(obj) ((void)0)
-#define DFTH_REPLAY_FAULT_GATE() ((void)0)
-#define DFTH_REPLAY_FAULT_COMMIT(site, injected) ((void)0)
-#define DFTH_REPLAY_STEAL(lane, tid, victim) ((void)0)
-#define DFTH_REPLAY_CANCEL_FIRE(lane, tid) ((void)0)
-
-#endif  // DFTH_REPLAY

@@ -18,9 +18,8 @@
 // through make_scheduler, so DFTH_VALIDATE's AuditedScheduler never audits a
 // pinned schedule against a policy it does not implement.
 //
-// This header is only compiled into the build when -DDFTH_REPLAY is ON (the
-// source list gates on the option); everything else reaches replay through
-// replay/hooks.h.
+// Only the engines include this header; everything else reaches replay
+// through replay/hooks.h.
 #pragma once
 
 #include <cstdint>

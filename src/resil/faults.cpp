@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "obs/counters.h"
 #include "replay/hooks.h"
 
 namespace dfth::resil {
@@ -59,7 +58,6 @@ void FaultInjector::disarm() { armed_.store(false, std::memory_order_release); }
 bool FaultInjector::should_fail(FaultSite site) {
   if (!armed_.load(std::memory_order_acquire)) return false;
   const int i = static_cast<int>(site);
-#if DFTH_REPLAY
   // Only probes of *enabled* sites are ordered decisions: a site's per-thread
   // probe interleaving decides which thread draws each every_nth/probability
   // outcome, so replay must pin it. Disabled-site probes are order-free
@@ -70,7 +68,6 @@ bool FaultInjector::should_fail(FaultSite site) {
   const bool ordered = ::dfth::replay::active() != nullptr &&
                        plan_.sites[i].enabled();
   if (ordered) DFTH_REPLAY_FAULT_GATE();
-#endif
   std::lock_guard<std::mutex> lock(mu_);
   const SiteSpec& spec = plan_.sites[i];
   const std::uint64_t n = ++evals_[i];
@@ -82,20 +79,14 @@ bool FaultInjector::should_fail(FaultSite site) {
     if (spec.probability > 0.0 && rng_[i].next_bool(spec.probability)) {
       fail = true;
     }
-    if (fail) {
-      ++injected_[i];
-      DFTH_COUNT(obs::Counter::FaultsInjected);
-    }
+    if (fail) ++injected_[i];
   }
-#if DFTH_REPLAY
   if (ordered) DFTH_REPLAY_FAULT_COMMIT(site, fail);
-#endif
   return fail;
 }
 
 void FaultInjector::on_recovered(FaultSite site) {
   recovered_[static_cast<int>(site)].fetch_add(1, std::memory_order_relaxed);
-  DFTH_COUNT(obs::Counter::FaultsRecovered);
 }
 
 std::uint64_t FaultInjector::evaluations(FaultSite site) const {

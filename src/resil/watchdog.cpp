@@ -96,8 +96,12 @@ void append_trace_tail(std::string* out, obs::Tracer* tracer) {
 
 // -- full-fidelity sections (file dump only; stderr keeps the tail) ----------
 
-void append_counters(std::string* out) {
+void append_counters(std::string* out, obs::Tracer* tracer) {
   append(out, "-- counters (live values at abort) --\n");
+  if (!tracer) {
+    append(out, "  (no trace session installed)\n");
+    return;
+  }
   for (int c = 0; c < obs::kNumCounters; ++c) {
     const auto counter = static_cast<obs::Counter>(c);
     const std::uint64_t v = obs::counters().value(counter);
@@ -106,8 +110,12 @@ void append_counters(std::string* out) {
   }
 }
 
-void append_histograms(std::string* out) {
+void append_histograms(std::string* out, obs::Tracer* tracer) {
   append(out, "-- histograms (live at abort) --\n");
+  if (!tracer) {
+    append(out, "  (no trace session installed)\n");
+    return;
+  }
   for (int h = 0; h < obs::kNumHists; ++h) {
     const auto hist = static_cast<obs::Hist>(h);
     const obs::HistSnapshot s = obs::histograms().snapshot(hist);
@@ -213,8 +221,8 @@ void dump_flight_recorder(const FlightInfo& info, const WatchdogConfig& cfg) {
     // The file gets the full-fidelity dump: every lane's complete ring (not
     // just the merged tail), the counter registry, histogram summaries and
     // the sampled time series — everything the abort would otherwise lose.
-    append_counters(&out);
-    append_histograms(&out);
+    append_counters(&out, info.tracer);
+    append_histograms(&out, info.tracer);
     append_samples(&out, info.tracer);
     append_full_rings(&out, info.tracer);
     append(&out, "==== END FLIGHT RECORDER ====\n");

@@ -1,31 +1,27 @@
 #include "runtime/api.h"
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
 
-#include "graph/recorder.h"
-#if DFTH_VALIDATE
-#include "analyze/auditor.h"
-#endif
 #include "analyze/race_hooks.h"
+#include "graph/recorder.h"
+#include "replay/session.h"
 #include "resil/faults.h"
 #include "runtime/real_engine.h"
 #include "runtime/sim_engine.h"
 #include "space/tracked_heap.h"
 #include "util/check.h"
 #include "util/log.h"
-#if DFTH_REPLAY
-#include <cstring>
-
-#include "replay/session.h"
+#if DFTH_VALIDATE
+#include "analyze/auditor.h"
 #endif
-#include <chrono>
 
 namespace dfth {
 namespace {
 
 Engine* g_engine = nullptr;
 
-#if DFTH_REPLAY
 // Builds the record or replay session `opts` asks for (nullptr when neither
 // path is set), rejecting malformed logs and header/option mismatches with a
 // specific diagnostic before any engine state exists. On replay the log's
@@ -118,7 +114,6 @@ std::unique_ptr<replay::Session> open_replay_session(RuntimeOptions* opts) {
       (opts->engine == EngineKind::Real ? opts->nprocs : 1) + 1;
   return replay::Session::start_record(h, lanes, opts->record_path);
 }
-#endif  // DFTH_REPLAY
 
 }  // namespace
 
@@ -143,15 +138,10 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
   // embedded fault plan overrides fault_plan so the recorded failure
   // schedule reproduces.
   RuntimeOptions effective = opts;
-#if DFTH_REPLAY
   std::unique_ptr<replay::Session> session = open_replay_session(&effective);
   // Installed before engine construction: RealEngine's constructor consults
   // the active session to substitute the schedule-pinned ReplayScheduler.
   replay::set_active(session.get());
-#else
-  DFTH_CHECK_MSG(opts.record_path.empty() && opts.replay_path.empty(),
-                 "record_path/replay_path set but the build has -DDFTH_REPLAY=OFF");
-#endif
 
   std::unique_ptr<Engine> eng;
   if (effective.engine == EngineKind::Sim) {
@@ -170,7 +160,6 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
   RunStats stats = eng->run(main_fn);
   detail::set_engine(nullptr);
   detail::set_recorder(nullptr);
-#if DFTH_REPLAY
   if (session) {
     std::string error;
     if (!session->finish_record(/*clean=*/true, &error)) {
@@ -179,7 +168,6 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
     }
     replay::set_active(nullptr);
   }
-#endif
   return stats;
 }
 
@@ -232,7 +220,6 @@ bool cancel_requested() {
   if (!e) return false;
   Tcb* cur = e->current();
   if (!cur || cur->cancel == nullptr) return false;
-#if DFTH_REPLAY
   if (auto* rs = replay::active()) {
     const std::uint64_t actor = replay::self_actor();
     if (rs->mode() == replay::Mode::Replay) {
@@ -262,22 +249,17 @@ bool cancel_requested() {
     rs->commit(replay::EvKind::CancelCheck, actor, v ? 1 : 0, 0);
     return v;
   }
-#endif
   return cur->cancel->is_cancelled();
 }
 
 std::uint64_t now_ns() {
   if (Engine* e = engine()) {
-#if DFTH_REPLAY
     // The wall clock is the archetypal raced read: serve-layer control flow
     // (deadline checks, arrival pacing, retry due times) branches on it.
     // Pin it so strict Real replay re-takes every recorded branch;
     // observe_u64 is a passthrough on Sim (virtual time is deterministic)
     // and when no session is installed.
     return replay::observe_u64(replay::kObsClockNs, e->now_ns());
-#else
-    return e->now_ns();
-#endif
   }
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

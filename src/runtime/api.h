@@ -71,16 +71,17 @@ struct RuntimeOptions {
   /// it, for graph/analysis.h. Adds overhead; off by default.
   Recorder* recorder = nullptr;
 
-  /// Optional caller-owned trace session (obs/trace.h): when set (and the
-  /// build has DFTH_TRACE), the engine records scheduler events and
-  /// time-series samples into it for obs/export.h / tools/dfth-trace.
+  /// Optional caller-owned trace session (obs/trace.h): when set, the
+  /// engine records scheduler events, time-series samples, counters and
+  /// histograms into it for obs/export.h / tools/dfth-trace. When unset the
+  /// obs counters and histograms stay untouched.
   obs::Tracer* tracer = nullptr;
 
   /// Optional caller-owned work/span profiling session (obs/profile.h):
-  /// when set (and the build has DFTH_PROF), the engine measures work, span,
-  /// burdened span and scheduler overhead, merges the summary into
-  /// RunStats::profile, and keeps per-spawn-site attribution in the session
-  /// for obs/export.h / tools/dfth-prof.
+  /// when set, the engine measures work, span, burdened span and scheduler
+  /// overhead, merges the summary into RunStats::profile, and keeps
+  /// per-spawn-site attribution in the session for obs/export.h /
+  /// tools/dfth-prof.
   obs::Profiler* profiler = nullptr;
 
   /// Optional caller-owned fault-injection plan (resil/faults.h): when set
@@ -93,15 +94,14 @@ struct RuntimeOptions {
   /// Disabled by default.
   resil::WatchdogConfig watchdog;
 
-  /// When non-empty (and the build has DFTH_REPLAY), record every
-  /// nondeterministic scheduling/sync/fault decision of this run into a
-  /// binary schedule log at this path. If the run aborts (DFTH_CHECK,
-  /// watchdog kill), the in-flight log is flushed so the failure itself is
-  /// replayable. Mutually exclusive with replay_path.
+  /// When non-empty, record every nondeterministic scheduling/sync/fault
+  /// decision of this run into a binary schedule log at this path. If the
+  /// run aborts (DFTH_CHECK, watchdog kill), the in-flight log is flushed so
+  /// the failure itself is replayable. Mutually exclusive with replay_path.
   std::string record_path;
 
-  /// When non-empty (and the build has DFTH_REPLAY), drive this run from a
-  /// previously recorded schedule log instead of live scheduling decisions.
+  /// When non-empty, drive this run from a previously recorded schedule log
+  /// instead of live scheduling decisions.
   /// On EngineKind::Real the log must come from a matching Real run (same
   /// sched/nprocs/seed/quota) and is replayed decision-for-decision; on
   /// EngineKind::Sim any log is cross-replayed under virtual time. A log

@@ -17,9 +17,7 @@
 #include "util/check.h"
 #include "util/timer.h"
 
-#if DFTH_REPLAY
 #include "replay/replay_sched.h"
-#endif
 
 #if DFTH_VALIDATE
 #include "analyze/auditor.h"
@@ -45,11 +43,9 @@ thread_local Tcb* tl_bound = nullptr;    // bound thread's own Tcb
 // the raw atomic's assignment order is itself a recorded (and replayed)
 // decision, so a replayed run names every fiber identically.
 std::uint64_t take_tid(std::atomic<std::uint64_t>& next) {
-#if DFTH_REPLAY
   if (auto* rs = ::dfth::replay::active()) {
     return rs->alloc_tid(next, ::dfth::replay::self_actor());
   }
-#endif
   return next++;
 }
 
@@ -69,7 +65,6 @@ __attribute__((noinline)) Tcb* RealEngine::current() {
 
 RealEngine::RealEngine(const RuntimeOptions& opts) : opts_(opts) {
   DFTH_CHECK(opts_.nprocs >= 1);
-#if DFTH_REPLAY
   if (auto* rs = replay::active();
       rs != nullptr && rs->mode() == replay::Mode::Replay) {
     // Schedule-pinned replay: serve the logged dispatch outcomes instead of
@@ -78,7 +73,6 @@ RealEngine::RealEngine(const RuntimeOptions& opts) : opts_(opts) {
     sched_ = std::make_unique<replay::ReplayScheduler>(
         rs, opts_.sched, replay::ReplayScheduler::Pinning::Pin);
   }
-#endif
   if (!sched_) {
     sched_ = make_scheduler(opts_.sched, opts_.nprocs, opts_.seed,
                             opts_.cluster_size);
@@ -135,7 +129,6 @@ void RealEngine::fiber_entry(void* arg) {
   // joiner — the wake edge must read the fiber's finished span. run_fiber
   // skips its post-switch charge on ExitCleanup so nothing double-counts;
   // the slice restarts so the wake edge's offset covers only finish_thread.
-#if DFTH_PROF
   if (obs::Profiler* pr = obs::profiler()) {
     Worker* w = this_worker();
     const std::uint64_t now = steady_now_ns();
@@ -143,7 +136,6 @@ void RealEngine::fiber_entry(void* arg) {
     w->slice_start_ns = now;
     pr->exit_fiber(t->id, 0);
   }
-#endif
   self->finish_thread(t);
   t->state.store(ThreadState::Done, std::memory_order_release);
   Worker* w = this_worker();
@@ -293,7 +285,6 @@ Tcb* RealEngine::run_inline(Tcb* child) {
                        ::dfth::replay::self_actor(), child->id,
                        ::dfth::replay::kSpawnInline);
   }
-  DFTH_COUNT(obs::Counter::InlineRuns);
   child->state.store(ThreadState::Running, std::memory_order_relaxed);
   ++child->dispatches;
   DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
@@ -420,7 +411,6 @@ void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
     const std::uint64_t deadline = steady_now_ns() + timeout_ns;
     while (cur->state.load(std::memory_order_acquire) == ThreadState::Blocked) {
       bool due = steady_now_ns() >= deadline;
-#if DFTH_REPLAY
       if (auto* rs = replay::active();
           rs != nullptr && rs->mode() == replay::Mode::Replay &&
           !rs->replay_exhausted()) {
@@ -428,7 +418,6 @@ void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
         // says this waiter claimed itself, never on this run's wall clock.
         due = rs->head_is(replay::EvKind::TimeoutClaim, cur->id, nullptr);
       }
-#endif
       if (due) {
         guard->lock();
         const bool claimed = list->remove(cur);
@@ -444,7 +433,6 @@ void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
             std::lock_guard<std::mutex> lk(mu_);
             ++stats_.sync_timeouts;
           }
-          DFTH_COUNT(obs::Counter::SyncTimeouts);
           DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, cur->id, 0);
           return;
         }
@@ -551,7 +539,6 @@ bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   // surfaces DfStatus::kNoMem.
   constexpr int kOomMaxAttempts = 16;
   if (attempt >= kOomMaxAttempts) return false;
-  DFTH_COUNT(obs::Counter::OomPreempts);
   Tcb* cur = current();
 #if DFTH_VALIDATE
   if (auto* aud = analyze::active_auditor()) aud->on_oom_preempt(cur);
@@ -596,18 +583,14 @@ void RealEngine::run_fiber(Worker& w, Tcb* t) {
   w.post_fiber = nullptr;
   w.post_next = nullptr;
   w.post_guard = nullptr;
-#if DFTH_PROF
   if (obs::profiler()) w.slice_start_ns = steady_now_ns();
-#endif
   context_switch(&w.ctx, &t->ctx);
-#if DFTH_PROF
   if (obs::Profiler* pr = obs::profiler()) {
     const std::uint64_t now = steady_now_ns();
     // ExitCleanup: fiber_entry already flushed the slice before sealing.
     if (w.post != Post::ExitCleanup) pr->work(t->id, now - w.slice_start_ns);
     w.idle_since_ns = now;
   }
-#endif
   w.current = nullptr;
 }
 
@@ -653,7 +636,6 @@ std::uint64_t RealEngine::dispatch_cancel_flags(Tcb* t, int lane,
                                                 std::uint64_t base) {
   CancelToken* c = t->cancel;
   bool fire = false;
-#if DFTH_REPLAY
   if (auto* rs = replay::active();
       rs != nullptr && rs->mode() == replay::Mode::Replay &&
       !rs->replay_exhausted()) {
@@ -675,7 +657,6 @@ std::uint64_t RealEngine::dispatch_cancel_flags(Tcb* t, int lane,
     DFTH_TRACE_EMIT(lane, obs::EvKind::Preempt, t->id, obs::kPreemptDeadline);
     return base | replay::kDispatchDeadline;
   }
-#endif
   fire = c != nullptr && c->deadline_ns != 0 && !c->is_cancelled() &&
          steady_now_ns() >= c->deadline_ns;
   if (!fire) return base;
@@ -691,7 +672,6 @@ void RealEngine::worker_loop(Worker& w) {
   DFTH_REPLAY_BIND_LANE(w.id);
   std::unique_lock<std::mutex> lk(mu_);
   while (!done_) {
-#if DFTH_REPLAY
     // Admission control: in a pinned replay a lane may only take the
     // scheduler lock to dispatch when the log's next ordered decision is its
     // own (its events are all emitted from this kernel thread in program
@@ -703,11 +683,8 @@ void RealEngine::worker_loop(Worker& w) {
       lk.lock();
       if (done_) break;
     }
-#endif
-#if DFTH_PROF
     std::uint64_t pick_t0 = 0;
     if (obs::profiler()) pick_t0 = steady_now_ns();
-#endif
     std::uint64_t earliest = kInf;
     Tcb* t = sched_->pick_next(w.id, kInf, &earliest);
     if (!t) {
@@ -747,7 +724,6 @@ void RealEngine::worker_loop(Worker& w) {
         dispatch_cancel_flags(t, w.id, 0);
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
                        ::dfth::replay::lane_actor(w.id), t->id, cancel_b);
-#if DFTH_PROF
     if (obs::Profiler* pr = obs::profiler()) {
       const std::uint64_t now = steady_now_ns();
       const std::uint64_t gap =
@@ -755,7 +731,6 @@ void RealEngine::worker_loop(Worker& w) {
       pr->dispatch(t->id, now - pick_t0, gap);
       DFTH_HIST(obs::Hist::DispatchGapNs, gap);
     }
-#endif
     lk.unlock();
 
     Tcb* next = t;
@@ -765,10 +740,8 @@ void RealEngine::worker_loop(Worker& w) {
       Tcb* follow = w.post_next;
       handle_post(w);
       if (post == Post::RunNext) {
-#if DFTH_PROF
         std::uint64_t dive_t0 = 0;
         if (obs::profiler()) dive_t0 = steady_now_ns();
-#endif
         DFTH_REPLAY_GATE(::dfth::replay::lane_actor(w.id));
         {
           std::lock_guard<std::mutex> inner(mu_);
@@ -789,11 +762,9 @@ void RealEngine::worker_loop(Worker& w) {
                              ::dfth::replay::lane_actor(w.id), follow->id,
                              dive_b);
         }
-#if DFTH_PROF
         if (obs::Profiler* pr = obs::profiler()) {
           pr->dispatch(follow->id, steady_now_ns() - dive_t0, 0);
         }
-#endif
         next = follow;
       } else {
         next = nullptr;
@@ -830,7 +801,6 @@ restart:
     if (claimed) {
       s.t->timed_out = true;
       DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
-      DFTH_COUNT(obs::Counter::SyncTimeouts);
       DFTH_REPLAY_GATE(::dfth::replay::kActorTimer);
       std::lock_guard<std::mutex> g(mu_);
       ++stats_.sync_timeouts;
@@ -849,7 +819,6 @@ restart:
   }
 }
 
-#if DFTH_REPLAY
 void RealEngine::replay_fire_sleepers(std::unique_lock<std::mutex>& lk) {
   auto* rs = replay::active();
   DFTH_CHECK(rs != nullptr && rs->mode() == replay::Mode::Replay);
@@ -880,7 +849,6 @@ restart:
     s.guard->unlock();
     s.t->timed_out = true;
     DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
-    DFTH_COUNT(obs::Counter::SyncTimeouts);
     rs->gate(replay::kActorTimer);
     {
       std::lock_guard<std::mutex> g(mu_);
@@ -898,7 +866,6 @@ restart:
     goto restart;
   }
 }
-#endif  // DFTH_REPLAY
 
 void RealEngine::supervisor_loop() {
   using std::chrono::milliseconds;
@@ -922,7 +889,6 @@ void RealEngine::supervisor_loop() {
       nap_ns = std::min(
           nap_ns, static_cast<std::uint64_t>(nanoseconds(poll).count()));
     }
-#if DFTH_REPLAY
     const bool pinned = [] {
       auto* rs = replay::active();
       return rs != nullptr && rs->mode() == replay::Mode::Replay;
@@ -937,7 +903,6 @@ void RealEngine::supervisor_loop() {
       // deregister sleepers under it (a replay-only livelock).
       nap_ns = std::uint64_t{1'000'000};
     }
-#endif
     if (nap_ns == kInf) {
       sup_cv_.wait(lk);
     } else if (nap_ns > 0) {
@@ -945,15 +910,11 @@ void RealEngine::supervisor_loop() {
     }
     if (sup_stop_) break;
 
-#if DFTH_REPLAY
     if (pinned) {
       replay_fire_sleepers(lk);
     } else {
       fire_due_sleepers(lk);
     }
-#else
-    fire_due_sleepers(lk);
-#endif
 
     if (stall.count() > 0) {
       // Liveness heartbeat (resil/watchdog.h): an intentionally idle serving
@@ -1009,7 +970,6 @@ void RealEngine::dump_flight(const char* reason, bool have_lock) {
   info.all_tcbs = &all_tcbs_;
   info.sched = sched_.get();
   info.tracer = obs::tracer();
-#if DFTH_REPLAY
   if (auto* rs = replay::active()) {
     if (rs->mode() == replay::Mode::Record) {
       // Persist the schedule up to the abort so the hang itself replays.
@@ -1021,7 +981,6 @@ void RealEngine::dump_flight(const char* reason, bool have_lock) {
       info.replay_position = rs->position_summary();
     }
   }
-#endif
   resil::dump_flight_recorder(info, opts_.watchdog);
 }
 
@@ -1039,7 +998,6 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   const std::uint64_t injected0 = inj.injected_total();
   const std::uint64_t recovered0 = inj.recovered_total();
 
-#if DFTH_TRACE
   std::thread sampler;
   std::atomic<bool> sampler_stop{false};
   if (opts_.tracer) {
@@ -1050,14 +1008,11 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
         opts_.nprocs + 1,
         [t0 = steady_now_ns()] { return steady_now_ns() - t0; });
   }
-#endif
 
-#if DFTH_PROF
   if (opts_.profiler) {
     opts_.profiler->begin_run();
     obs::detail::set_profiler(opts_.profiler);
   }
-#endif
 
   Timer timer;
 
@@ -1143,7 +1098,6 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   }
   supervisor_ = std::thread([this] { supervisor_loop(); });
 
-#if DFTH_TRACE
   if (obs::Tracer* tr = obs::tracer()) {
     std::uint64_t interval_ns = tr->config().sample_interval_ns;
     if (interval_ns == 0) interval_ns = 1'000'000;  // 1 ms
@@ -1163,7 +1117,6 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
       }
     });
   }
-#endif
 
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -1191,27 +1144,21 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   if (auto* ws = dynamic_cast<WorkStealScheduler*>(sched_->underlying())) {
     stats_.steals = ws->steal_count();
   }
-#if DFTH_REPLAY
   if (auto* prs = dynamic_cast<replay::ReplayScheduler*>(sched_.get())) {
     stats_.steals = prs->steal_count();
   }
-#endif
 
-#if DFTH_TRACE
   if (obs::Tracer* tr = obs::tracer()) {
     sampler_stop.store(true, std::memory_order_release);
     sampler.join();
     tr->end_run();
     obs::detail::set_tracer(nullptr);
   }
-#endif
-#if DFTH_PROF
   if (opts_.profiler) {
     opts_.profiler->end_run(stats_.elapsed_us, opts_.nprocs);
     stats_.profile = opts_.profiler->stats();
     obs::detail::set_profiler(nullptr);
   }
-#endif
   stats_.faults_injected = inj.injected_total() - injected0;
   stats_.faults_recovered = inj.recovered_total() - recovered0;
   if (armed_here) inj.disarm();

@@ -135,13 +135,11 @@ class RealEngine final : public Engine {
   /// Fires every due sleeper. Called with `lk` (sup_mu_) held; drops it
   /// around the claim-and-wake of each entry.
   void fire_due_sleepers(std::unique_lock<std::mutex>& lk);
-#if DFTH_REPLAY
   /// Replay-pinned variant: fires a sleeper exactly when the schedule log's
   /// next ordered decision is the timer's TimeoutClaim for it — wall-clock
   /// deadlines are ignored, the recorded timer-vs-waker race outcome is
   /// what's honored. Free-runs via fire_due_sleepers once the log ends.
   void replay_fire_sleepers(std::unique_lock<std::mutex>& lk);
-#endif
   /// Removes t's timer entry, waiting out an in-flight fire for t so a
   /// stale timer can never claim t's *next* wait.
   void cancel_sleeper(Tcb* t);

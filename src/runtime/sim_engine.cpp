@@ -15,9 +15,7 @@
 #include "util/check.h"
 #include "util/log.h"
 
-#if DFTH_REPLAY
 #include "replay/replay_sched.h"
-#endif
 
 #if DFTH_VALIDATE
 #include "analyze/auditor.h"
@@ -63,7 +61,6 @@ bool SimEngine::LruCache::touch_block(std::uint32_t id) {
 
 SimEngine::SimEngine(const RuntimeOptions& opts) : opts_(opts) {
   DFTH_CHECK(opts_.nprocs >= 1);
-#if DFTH_REPLAY
   if (auto* rs = replay::active();
       rs != nullptr && rs->mode() == replay::Mode::CrossReplay) {
     // Cross-replay: map the recorded run's dispatch order onto virtual time.
@@ -75,10 +72,10 @@ SimEngine::SimEngine(const RuntimeOptions& opts) : opts_(opts) {
         rs, static_cast<SchedKind>(rs->header().sched),
         replay::ReplayScheduler::Pinning::Cross);
   }
-  if (!sched_)
-#endif
-  sched_ = make_scheduler(opts_.sched, opts_.nprocs, opts_.seed,
-                          opts_.cluster_size);
+  if (!sched_) {
+    sched_ = make_scheduler(opts_.sched, opts_.nprocs, opts_.seed,
+                            opts_.cluster_size);
+  }
   procs_.resize(static_cast<std::size_t>(opts_.nprocs));
   for (auto& vp : procs_) vp.cache.capacity = opts_.cost.cache_blocks;
   eff_quota_ = opts_.mem_quota;
@@ -177,7 +174,6 @@ Tcb* SimEngine::run_inline(Tcb* child) {
   ++stats_.threads_created;
   ++stats_.inline_runs;
   if (child->is_dummy) ++stats_.dummy_threads;
-  DFTH_COUNT(obs::Counter::InlineRuns);
 #if DFTH_VALIDATE
   if (auto* aud = analyze::active_auditor()) aud->on_inline_run(cur_, child);
 #endif
@@ -298,7 +294,6 @@ void SimEngine::fire_due_sleepers(VProc& vp, int pid) {
     if (!claimed) continue;
     s.t->timed_out = true;
     ++stats_.sync_timeouts;
-    DFTH_COUNT(obs::Counter::SyncTimeouts);
     DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Wake, vp.clock_ns, s.t->id, 0);
     sched_lock_acquire(vp, pid);
     s.t->state.store(ThreadState::Ready, std::memory_order_relaxed);
@@ -367,7 +362,6 @@ bool SimEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   constexpr int kOomMaxAttempts = 16;
   if (!in_fiber_ || attempt >= kOomMaxAttempts) return false;
   ++stats_.oom_preemptions;
-  DFTH_COUNT(obs::Counter::OomPreempts);
 #if DFTH_VALIDATE
   if (auto* aud = analyze::active_auditor()) aud->on_oom_preempt(cur_);
 #endif
@@ -456,7 +450,6 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   const std::uint64_t injected0 = inj.injected_total();
   const std::uint64_t recovered0 = inj.recovered_total();
 
-#if DFTH_TRACE
   if (opts_.tracer) {
     obs::detail::set_tracer(opts_.tracer);
     opts_.tracer->begin_run(opts_.nprocs, [this] { return vnow_ns(); });
@@ -464,14 +457,11 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
     if (sample_interval_ns_ == 0) sample_interval_ns_ = 1000;  // 1 µs virtual
     next_sample_ns_ = 0;
   }
-#endif
 
-#if DFTH_PROF
   if (opts_.profiler) {
     opts_.profiler->begin_run();
     obs::detail::set_profiler(opts_.profiler);
   }
-#endif
 
   Attr main_attr;
   Tcb* main = new Tcb(next_tid_++);
@@ -556,13 +546,11 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
     stats_.steals = ws->steal_count();
   }
   finish_trace(completion);
-#if DFTH_PROF
   if (opts_.profiler) {
     opts_.profiler->end_run(stats_.elapsed_us, opts_.nprocs);
     stats_.profile = opts_.profiler->stats();
     obs::detail::set_profiler(nullptr);
   }
-#endif
   stats_.faults_injected = inj.injected_total() - injected0;
   stats_.faults_recovered = inj.recovered_total() - recovered0;
   if (armed_here) inj.disarm();
@@ -570,12 +558,8 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
 }
 
 void SimEngine::finish_trace(std::uint64_t completion_ns) {
-#if DFTH_TRACE
   obs::Tracer* tr = obs::tracer();
-  if (!tr) {
-    (void)completion_ns;
-    return;
-  }
+  if (!tr) return;
   // Close the time series at the completion instant, then fill in the exact
   // live-thread and heap levels at every sample instant by sweeping the
   // already-sorted virtual-time event lists (the online pass cannot know
@@ -605,13 +589,9 @@ void SimEngine::finish_trace(std::uint64_t completion_ns) {
   }
   tr->end_run();
   obs::detail::set_tracer(nullptr);
-#else
-  (void)completion_ns;
-#endif
 }
 
 void SimEngine::maybe_sample(std::uint64_t now_ns) {
-#if DFTH_TRACE
   if (!obs::tracer() || now_ns < next_sample_ns_) return;
   obs::Sample s;
   s.ts_ns = now_ns;
@@ -632,9 +612,6 @@ void SimEngine::maybe_sample(std::uint64_t now_ns) {
     trace_samples_.swap(kept);
     sample_interval_ns_ *= 2;
   }
-#else
-  (void)now_ns;
-#endif
 }
 
 void SimEngine::sim_loop() {
@@ -962,7 +939,6 @@ void SimEngine::dump_flight(const char* reason) {
   info.all_tcbs = &all_tcbs_;
   info.sched = sched_.get();
   info.tracer = obs::tracer();
-#if DFTH_REPLAY
   if (auto* rs = replay::active()) {
     if (rs->mode() == replay::Mode::Record) {
       rs->flush_partial();
@@ -973,7 +949,6 @@ void SimEngine::dump_flight(const char* reason) {
       info.replay_position = rs->position_summary();
     }
   }
-#endif
   resil::dump_flight_recorder(info, opts_.watchdog);
 }
 

@@ -1,5 +1,7 @@
 #include "space/tracked_heap.h"
 
+#include <unistd.h>
+
 #include <cstdlib>
 
 #include "analyze/san_fibers.h"
@@ -30,6 +32,25 @@ bool header_readable(const Header* header) {
   (void)header;
   return true;
 #endif
+}
+
+// Largest request worth handing to malloc: one that fits, with its header,
+// in the host's physical memory. A larger one can never be met, and the
+// sanitizer allocators abort on such sizes instead of returning null.
+std::size_t max_request_bytes() {
+  static const std::size_t limit = [] {
+    const long pages = sysconf(_SC_PHYS_PAGES);
+    const long page_size = sysconf(_SC_PAGE_SIZE);
+    std::size_t phys = SIZE_MAX;
+    if (pages > 0 && page_size > 0 &&
+        static_cast<std::size_t>(pages) <=
+            SIZE_MAX / static_cast<std::size_t>(page_size)) {
+      phys = static_cast<std::size_t>(pages) *
+             static_cast<std::size_t>(page_size);
+    }
+    return phys - sizeof(Header);
+  }();
+  return limit;
 }
 
 }  // namespace
@@ -85,7 +106,7 @@ void* TrackedHeap::allocate_ex(std::size_t bytes, std::int64_t* fresh_bytes_out,
   // followed by an engine OOM-preempt retry never double-counts. (The old
   // path threw bad_alloc here — out of a fiber, through a context switch,
   // straight into std::terminate.)
-  if (bytes > SIZE_MAX - sizeof(Header)) return nullptr;  // size overflow
+  if (bytes > max_request_bytes()) return nullptr;  // can never be met
   if (probe_faults && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kHeapAlloc)) {
     if (injected_out) *injected_out = true;
     return nullptr;

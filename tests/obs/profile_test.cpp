@@ -59,7 +59,6 @@ void fork_tree(int depth, std::uint64_t ops) {
 }
 
 TEST(ProfileTest, SingleFiberWorkEqualsSpan) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 1), [] { annotate_work(500); });
   const ProfileStats& p = prof.stats();
@@ -72,7 +71,6 @@ TEST(ProfileTest, SingleFiberWorkEqualsSpan) {
 }
 
 TEST(ProfileTest, SerialChainParallelismIsOne) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 4), [] { serial_chain(64, 100000); });
   const ProfileStats& p = prof.stats();
@@ -85,7 +83,6 @@ TEST(ProfileTest, SerialChainParallelismIsOne) {
 }
 
 TEST(ProfileTest, ForkTreeParallelismMatchesAnalytic) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   constexpr int kDepth = 7;
   obs::Profiler prof;
   run(prof_opts(&prof, 4), [] { fork_tree(kDepth, 30000); });
@@ -99,7 +96,6 @@ TEST(ProfileTest, ForkTreeParallelismMatchesAnalytic) {
 }
 
 TEST(ProfileTest, SimBusyInvariantIsExact) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   for (int nprocs : {1, 4}) {
     obs::Profiler prof;
     const RunStats stats =
@@ -116,7 +112,6 @@ TEST(ProfileTest, SimBusyInvariantIsExact) {
 }
 
 TEST(ProfileTest, MatmulMeasuredFallsBetweenPredictions) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   apps::MatmulConfig cfg;
   cfg.n = 128;
   cfg.base = 32;
@@ -138,7 +133,6 @@ TEST(ProfileTest, MatmulMeasuredFallsBetweenPredictions) {
 }
 
 TEST(ProfileTest, CriticalPathSegmentsSumToSpanExactly) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 4), [] { fork_tree(6, 150); });
   const std::vector<obs::CritSegment> crit = prof.critical_path();
@@ -152,7 +146,6 @@ TEST(ProfileTest, CriticalPathSegmentsSumToSpanExactly) {
 }
 
 TEST(ProfileTest, CollapsedStacksSumToWorkExactly) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 4), [] { fork_tree(6, 150); });
   const std::vector<obs::CollapsedLine> lines = prof.collapsed();
@@ -182,7 +175,6 @@ TEST(ProfileTest, ProfilerDoesNotChangeSimResults) {
 }
 
 TEST(ProfileTest, ProfilerIsReusableAcrossRuns) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 2), [] { fork_tree(5, 100); });
   const std::uint64_t first_work = prof.stats().work_ns;
@@ -192,7 +184,6 @@ TEST(ProfileTest, ProfilerIsReusableAcrossRuns) {
 }
 
 TEST(ProfileTest, RealEngineProfileIsPlausible) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   const RunStats stats = run(prof_opts(&prof, 2, EngineKind::Real),
                              [] { fork_tree(6, 0); });
@@ -207,7 +198,6 @@ TEST(ProfileTest, RealEngineProfileIsPlausible) {
 }
 
 TEST(ProfileTest, StatsMergedIntoRunStats) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   const RunStats stats = run(prof_opts(&prof, 2), [] { fork_tree(4, 100); });
   EXPECT_TRUE(stats.profile.enabled);
@@ -218,40 +208,6 @@ TEST(ProfileTest, StatsMergedIntoRunStats) {
   EXPECT_FALSE(bare.profile.enabled);
   EXPECT_EQ(bare.profile.work_ns, 0u);
 }
-
-#if !DFTH_PROF
-// With profiling compiled out, the hook macros must expand to literally
-// ((void)0) — no profiler symbol, no argument evaluation, zero cost.
-#define DFTH_PROF_STR2(x) #x
-#define DFTH_PROF_STR(x) DFTH_PROF_STR2(x)
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_THREAD_START(a, b, c, d, e))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_THREAD_START must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_WORK(a, b))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_WORK must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_OVERHEAD(a, b))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_OVERHEAD must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_DISPATCH(a, b, c))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_DISPATCH must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_FORK_COST(a, b))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_FORK_COST must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_JOIN(a, b, c))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_JOIN must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_WAKE(a, b, c))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_WAKE must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_STEAL(a, b))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_STEAL must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_EXIT(a, b))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_EXIT must compile away");
-#endif
 
 }  // namespace
 }  // namespace dfth

@@ -1,11 +1,14 @@
 // Engine-integration tests for the tracing hooks: a traced SimEngine run
 // records the events and samples the figures need, a traced RealEngine run
-// keeps per-lane timestamps monotone, and composing a tracer with a run
-// changes none of the results.
+// keeps per-lane timestamps monotone, composing a tracer with a run
+// changes none of the results, and the counters and histograms record only
+// while a tracer is installed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
+#include <string>
 
 #include "obs/trace.h"
 #include "runtime/api.h"
@@ -38,7 +41,6 @@ RuntimeOptions base_opts(EngineKind engine, SchedKind sched) {
 }
 
 TEST(TraceHooksTest, SimRunRecordsEventsAndSamples) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   obs::Tracer tracer;
   RuntimeOptions o = base_opts(EngineKind::Sim, SchedKind::AsyncDf);
   o.tracer = &tracer;
@@ -70,7 +72,6 @@ TEST(TraceHooksTest, SimRunRecordsEventsAndSamples) {
 }
 
 TEST(TraceHooksTest, SimTraceShowsFifoLivePeakAboveAsyncDf) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   auto peak_live = [](SchedKind sched) {
     obs::Tracer tracer;
     RuntimeOptions o = base_opts(EngineKind::Sim, sched);
@@ -89,7 +90,6 @@ TEST(TraceHooksTest, SimTraceShowsFifoLivePeakAboveAsyncDf) {
 }
 
 TEST(TraceHooksTest, SimDispatchTimestampsMonotonePerLane) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   obs::Tracer tracer;
   RuntimeOptions o = base_opts(EngineKind::Sim, SchedKind::WorkSteal);
   o.tracer = &tracer;
@@ -104,7 +104,6 @@ TEST(TraceHooksTest, SimDispatchTimestampsMonotonePerLane) {
 }
 
 TEST(TraceHooksTest, RealRunTracesWithMonotoneWorkerLanes) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   obs::Tracer tracer;
   RuntimeOptions o = base_opts(EngineKind::Real, SchedKind::AsyncDf);
   o.tracer = &tracer;
@@ -143,7 +142,6 @@ TEST(TraceHooksTest, TracerDoesNotChangeSimResults) {
 }
 
 TEST(TraceHooksTest, TracerIsReusableAcrossRuns) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   obs::Tracer tracer;
   RuntimeOptions o = base_opts(EngineKind::Sim, SchedKind::AsyncDf);
   o.tracer = &tracer;
@@ -153,6 +151,64 @@ TEST(TraceHooksTest, TracerIsReusableAcrossRuns) {
   // begin_run clears the previous session instead of appending to it.
   EXPECT_EQ(tracer.event_count(), first);
 }
+
+// The counter and histogram hooks are gated at run time on an installed
+// Tracer, the registries' only consumer: a run without one leaves every
+// value at zero, a run with one fills them.
+struct GateCase {
+  const char* name;
+  EngineKind engine;
+  SchedKind sched;
+};
+
+void PrintTo(const GateCase& c, std::ostream* os) { *os << c.name; }
+
+class CounterGateTest : public ::testing::TestWithParam<GateCase> {
+ protected:
+  void run_tree(obs::Tracer* tracer) {
+    RuntimeOptions o = base_opts(GetParam().engine, GetParam().sched);
+    o.tracer = tracer;
+    run(o, [] {
+      fork_tree(6);
+      void* p = df_malloc(64 << 10);
+      df_free(p);
+    });
+  }
+};
+
+TEST_P(CounterGateTest, RegistriesStayZeroWithoutTracer) {
+  obs::counters().reset();
+  obs::histograms().reset();
+  run_tree(nullptr);
+  for (int c = 0; c < obs::kNumCounters; ++c) {
+    const auto counter = static_cast<obs::Counter>(c);
+    EXPECT_EQ(obs::counters().value(counter), 0u) << obs::to_string(counter);
+  }
+  for (int h = 0; h < obs::kNumHists; ++h) {
+    const auto hist = static_cast<obs::Hist>(h);
+    EXPECT_EQ(obs::histograms().snapshot(hist).count(), 0u)
+        << obs::to_string(hist);
+  }
+}
+
+TEST_P(CounterGateTest, TracerFillsCoreCounters) {
+  obs::Tracer tracer;
+  run_tree(&tracer);
+  for (obs::Counter c : {obs::Counter::Forks, obs::Counter::Dispatches,
+                         obs::Counter::ReadyPushes, obs::Counter::ReadyPops}) {
+    EXPECT_GT(tracer.counter(c), 0u) << obs::to_string(c);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, CounterGateTest,
+    ::testing::Values(GateCase{"SimAsyncDf", EngineKind::Sim, SchedKind::AsyncDf},
+                      GateCase{"RealAsyncDf", EngineKind::Real, SchedKind::AsyncDf},
+                      GateCase{"RealWorkSteal", EngineKind::Real,
+                               SchedKind::WorkSteal}),
+    [](const ::testing::TestParamInfo<GateCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace dfth

@@ -111,23 +111,5 @@ TEST(TracerTest, LaneOutOfRangeIsClampedNotDropped) {
   EXPECT_EQ(tr.dropped(), 0u);
 }
 
-#if !DFTH_TRACE
-// With tracing compiled out, the hook macros must expand to literally
-// ((void)0) — no tracer symbol, no argument evaluation, zero cost.
-#define DFTH_STR2(x) #x
-#define DFTH_STR(x) DFTH_STR2(x)
-static_assert(sizeof(DFTH_STR(DFTH_TRACE_EMIT(0, x, y, z))) == sizeof("((void)0)"),
-              "DFTH_TRACE_EMIT must compile away");
-static_assert(sizeof(DFTH_STR(DFTH_COUNT(x))) == sizeof("((void)0)"),
-              "DFTH_COUNT must compile away");
-static_assert(sizeof(DFTH_STR(DFTH_TRACE_ALLOC_EVENT(0, x, y, z))) ==
-                  sizeof("((void)0)"),
-              "DFTH_TRACE_ALLOC_EVENT must compile away");
-static_assert(sizeof(DFTH_STR(DFTH_HIST(x, y))) == sizeof("((void)0)"),
-              "DFTH_HIST must compile away");
-static_assert(sizeof(DFTH_STR(DFTH_HIST_WAIT(x, y, z))) == sizeof("((void)0)"),
-              "DFTH_HIST_WAIT must compile away");
-#endif
-
 }  // namespace
 }  // namespace dfth::obs

@@ -17,8 +17,7 @@ namespace dfth::replay {
 namespace {
 
 // The hook macros must be statement-safe no-ops whenever there is no active
-// session — including the -DDFTH_REPLAY=OFF build, where they expand to
-// ((void)0) (mirroring the obs/trace.h discipline).
+// session.
 TEST(ReplayHooks, NoOpWithoutSession) {
   DFTH_REPLAY_BIND_LANE(0);
   DFTH_REPLAY_GATE(kActorHost);

@@ -73,7 +73,6 @@ std::vector<std::string> race_fingerprint() {
 #endif
 
 TEST(ReplayDeterminism, SevenAppsRealEngine) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   constexpr std::uint64_t kSeed = 0x5eed;
   constexpr int kProcs = 4;
 
@@ -116,7 +115,6 @@ TEST(ReplayDeterminism, SevenAppsRealEngine) {
 }
 
 TEST(ReplayDeterminism, SpawnTreeStatsAndLogStable) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   const std::string path = temp_path("tree");
   RuntimeOptions o = real_opts();
   o.record_path = path;
@@ -140,7 +138,6 @@ TEST(ReplayDeterminism, SpawnTreeStatsAndLogStable) {
 }
 
 TEST(ReplayDeterminism, CrossReplayOnSimCompletes) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   const std::string path = temp_path("cross");
   RuntimeOptions o = real_opts();
   o.record_path = path;
@@ -160,7 +157,6 @@ TEST(ReplayDeterminism, CrossReplayOnSimCompletes) {
 using ReplayDeathTest = ::testing::Test;
 
 TEST(ReplayDeathTest, CorruptLogRejected) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string path = temp_path("corrupt");
   RuntimeOptions o = real_opts();
@@ -185,7 +181,6 @@ TEST(ReplayDeathTest, CorruptLogRejected) {
 }
 
 TEST(ReplayDeathTest, TruncatedLogRejected) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string path = temp_path("trunc");
   RuntimeOptions o = real_opts();
@@ -207,7 +202,6 @@ TEST(ReplayDeathTest, TruncatedLogRejected) {
 }
 
 TEST(ReplayDeathTest, MismatchedOptionsRejected) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string path = temp_path("mismatch");
   RuntimeOptions o = real_opts();
@@ -222,7 +216,6 @@ TEST(ReplayDeathTest, MismatchedOptionsRejected) {
 }
 
 TEST(ReplayOptions, RecordAndReplayMutuallyExclusive) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   RuntimeOptions o = real_opts();
   o.record_path = temp_path("both");

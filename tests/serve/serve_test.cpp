@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "replay/log.h"
 #include "replay/signature.h"
 #include "runtime/api.h"
 #include "runtime/sync.h"
@@ -425,8 +424,8 @@ TEST_P(ServeTest, DeadlineExpiresInQueueBeforeDispatch) {
 // cooperatively (cancel_requested() after each timed-wait wake), the
 // request must classify as expired-in-flight, and the unwind must release
 // every tracked byte — no leak through either primitive's timeout path.
-// The whole run is recorded when the build carries -DDFTH_REPLAY, so the
-// race's resolution is itself a pinned, replayable schedule.
+// The whole run is recorded, so the race's resolution is itself a pinned,
+// replayable schedule.
 TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
   const std::int64_t live_before = TrackedHeap::instance().live_bytes();
   const std::string log_path = testing::TempDir() + "dfth_serve_timedwait_" +
@@ -487,7 +486,7 @@ TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
   };
 
   RuntimeOptions o = opts();
-  if (replay::kReplayEnabled) o.record_path = log_path;
+  o.record_path = log_path;
   ServeReport recorded;
   body(o, &recorded);
   EXPECT_EQ(recorded.expired_running, 4u);
@@ -501,7 +500,7 @@ TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
   // Strict replay (RealEngine only — Sim logs cross-replay by design): the
   // recorded resolution of the deadline-vs-timeout race must reproduce,
   // down to the determinism signature.
-  if (replay::kReplayEnabled && GetParam() == EngineKind::Real) {
+  if (GetParam() == EngineKind::Real) {
     RuntimeOptions r = opts();
     r.replay_path = log_path;
     ServeReport replayed;
@@ -509,7 +508,7 @@ TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
     EXPECT_EQ(replayed.expired_running, 4u);
     EXPECT_EQ(replayed.completed, 0u);
   }
-  if (replay::kReplayEnabled) std::remove(log_path.c_str());
+  std::remove(log_path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ServeTest,

@@ -137,8 +137,8 @@ bool load(const std::string& path, ProfFile* pf) {
 int report(const ProfFile& pf, const std::string& path, std::size_t top_n) {
   std::printf("profile: %s (%s)\n", path.c_str(), pf.label.c_str());
   if (!pf.enabled) {
-    std::printf("  (profiling was not enabled for this run — rebuild with "
-                "-DDFTH_PROF=ON and install a Profiler)\n");
+    std::printf("  (profiling was not enabled for this run — install a "
+                "Profiler through RuntimeOptions::profiler)\n");
     return 0;
   }
   std::printf("  fibers        %12llu\n",
@@ -200,7 +200,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: dfth-prof report <PROF.json> [--top N]\n"
                "       dfth-prof collapse <PROF.json>\n"
-               "  PROF.json: output of a DFTH_PROF run "
+               "  PROF.json: output of a profiled run "
                "(obs::write_profile_json, e.g. bench/prof_apps)\n"
                "  collapse prints folded stacks for speedscope/flamegraph.pl\n");
 }

@@ -220,12 +220,6 @@ int cmd_replay(const std::string& path, bool force_sim, bool full) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!dfth::replay::kReplayEnabled) {
-    std::fprintf(stderr,
-                 "dfth-replay: built with -DDFTH_REPLAY=OFF; rebuild with "
-                 "-DDFTH_REPLAY=ON to use schedule logs\n");
-    return 1;
-  }
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   if (cmd == "inspect" && argc == 3) return cmd_inspect(argv[2], 0, 0);
