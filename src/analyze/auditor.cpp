@@ -165,6 +165,11 @@ void InvariantAuditor::on_oom_preempt(Tcb* t) {
   t->audit_alloc_since_dispatch = 0;
 }
 
+void InvariantAuditor::on_exit(const Tcb* t) {
+  steps_.fetch_add(1, std::memory_order_relaxed);
+  if (!t->held_locks.empty()) violation("thread exited holding a lock", t);
+}
+
 AuditedScheduler::AuditedScheduler(std::unique_ptr<Scheduler> inner)
     : inner_(std::move(inner)) {
   g_active = &auditor_;

@@ -9,7 +9,8 @@
 //     (or null) parent, before the child appears in any other hook;
 //   * on_ready is only called for registered threads in state Ready;
 //   * pick_next only returns a registered Ready thread with
-//     ready_at_ns <= now.
+//     ready_at_ns <= now;
+//   * a thread exits holding no lock.
 //
 //  AsyncDF:
 //   * a forked child lands to the immediate left of its parent in the
@@ -76,6 +77,12 @@ class InvariantAuditor {
   /// fresh allocation window, exactly as a quota preemption does. Fiber
   /// context; touches only t's own audit fields.
   void on_oom_preempt(Tcb* t);
+
+  /// `t` is exiting. It must hold no lock (Tcb::held_locks, exclusive or
+  /// read mode): nobody could ever release it, and once the engine recycles
+  /// t's control block, Mutex::owner_ would name whichever thread reuses it.
+  /// Engine exit path; reads only t's own fields.
+  void on_exit(const Tcb* t);
 
  private:
   void check_registered(const Tcb* t, const char* hook);

@@ -73,6 +73,7 @@ std::string to_json(const RunStats& s) {
       "\"threads_created\": %" PRIu64 ", \"dummy_threads\": %" PRIu64
       ", \"max_live_threads\": %" PRId64 ", \"dispatches\": %" PRIu64
       ", \"quota_preemptions\": %" PRIu64 ", \"steals\": %" PRIu64
+      ", \"tcbs_allocated\": %" PRIu64
       ", \"oom_preemptions\": %" PRIu64 ", \"inline_runs\": %" PRIu64
       ", \"sync_timeouts\": %" PRIu64 ", \"faults_injected\": %" PRIu64
       ", \"faults_recovered\": %" PRIu64
@@ -83,10 +84,10 @@ std::string to_json(const RunStats& s) {
       ", \"cache_misses\": %" PRIu64 ", \"breakdown\": ",
       to_string(s.engine), to_string(s.sched), s.nprocs, s.threads_created,
       s.dummy_threads, s.max_live_threads, s.dispatches, s.quota_preemptions,
-      s.steals, s.oom_preemptions, s.inline_runs, s.sync_timeouts,
-      s.faults_injected, s.faults_recovered, s.heap_peak, s.stack_peak,
-      s.stacks_fresh, s.stacks_reused, s.stack_high_water, s.elapsed_us,
-      s.cache_hits, s.cache_misses);
+      s.steals, s.tcbs_allocated, s.oom_preemptions, s.inline_runs,
+      s.sync_timeouts, s.faults_injected, s.faults_recovered, s.heap_peak,
+      s.stack_peak, s.stacks_fresh, s.stacks_reused, s.stack_high_water,
+      s.elapsed_us, s.cache_hits, s.cache_misses);
   return std::string(buf) + to_json(s.breakdown) +
          ", \"profile\": " + to_json(s.profile) + "}";
 }

@@ -8,7 +8,7 @@
 #include "core/scheduler.h"
 #include "obs/trace.h"
 #include "resil/faults.h"
-#include "threads/tcb.h"
+#include "threads/tcb_pool.h"
 
 namespace dfth::resil {
 namespace {
@@ -30,21 +30,29 @@ void append(std::string* out, const char* fmt, ...) {
   *out += line;
 }
 
-void append_threads(std::string* out, const std::vector<Tcb*>& tcbs) {
-  append(out, "-- threads (%zu total) --\n", tcbs.size());
-  for (const Tcb* t : tcbs) {
-    if (!t) continue;
-    const ThreadState st = t->state.load(std::memory_order_relaxed);
-    append(out,
+void append_threads(std::string* out, const TcbPool& tcbs) {
+  // Exited threads (and recycled blocks, whose state is Done too) are left
+  // out: the list stays as long as the live set, not the run's history.
+  std::string lines;
+  std::size_t live = 0;
+  std::size_t blocks = 0;
+  tcbs.for_each([&](const Tcb& t) {
+    ++blocks;
+    const ThreadState st = t.state.load(std::memory_order_relaxed);
+    if (st == ThreadState::Done) return;
+    ++live;
+    append(&lines,
            "  t%" PRIu64 " state=%s%s%s%s dispatches=%" PRIu64
            " quota=%lld held-locks=%zu",
-           t->id, to_string(st), t->is_main ? " main" : "",
-           t->is_dummy ? " dummy" : "", t->attr.bound ? " bound" : "",
-           t->dispatches, static_cast<long long>(t->quota),
-           t->held_locks.size());
-    for (const void* lock : t->held_locks) append(out, " %p", lock);
-    append(out, "\n");
-  }
+           t.id, to_string(st), t.is_main ? " main" : "",
+           t.is_dummy ? " dummy" : "", t.attr.bound ? " bound" : "",
+           t.dispatches, static_cast<long long>(t.quota),
+           t.held_locks.size());
+    for (const void* lock : t.held_locks) append(&lines, " %p", lock);
+    append(&lines, "\n");
+  });
+  append(out, "-- threads (%zu live of %zu control blocks) --\n", live, blocks);
+  *out += lines;
 }
 
 void append_order_list(std::string* out, Scheduler* sched) {
@@ -188,7 +196,7 @@ void dump_flight_recorder(const FlightInfo& info, const WatchdogConfig& cfg) {
       append(&out, "  lane %d: idle\n", lane.lane);
     }
   }
-  if (info.all_tcbs) append_threads(&out, *info.all_tcbs);
+  if (info.tcbs) append_threads(&out, *info.tcbs);
   if (info.sched) append_order_list(&out, info.sched);
   append_trace_tail(&out, info.tracer);
   append(&out, "-- fault injection --\n");

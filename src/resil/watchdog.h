@@ -25,6 +25,7 @@
 namespace dfth {
 
 struct Tcb;
+class TcbPool;
 class Scheduler;
 
 namespace obs {
@@ -80,7 +81,7 @@ struct FlightInfo {
   std::int64_t live_threads = -1;
   bool sched_state_consistent = true;
   std::vector<FlightLane> lanes;
-  const std::vector<Tcb*>* all_tcbs = nullptr;
+  const TcbPool* tcbs = nullptr;  ///< the engine's control blocks
   Scheduler* sched = nullptr;      ///< may be an AuditedScheduler decorator
   obs::Tracer* tracer = nullptr;   ///< active trace session, if any
 

@@ -128,8 +128,6 @@ void set_engine(Engine* e) { g_engine = e; }
 
 bool in_runtime() { return engine() != nullptr; }
 
-std::uint64_t Thread::id() const { return tcb_ ? tcb_->id : 0; }
-
 RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
   DFTH_CHECK_MSG(!in_runtime(), "dfth::run is not reentrant");
   DFTH_CHECK(opts.nprocs >= 1);
@@ -180,28 +178,54 @@ Thread spawn(std::function<void*()> fn, const Attr& attr,
   // its start must be recorded before the scheduling decision.
   Tcb* child = e->spawn(std::move(fn), attr, /*is_dummy=*/false,
                         site.file_name(), static_cast<int>(site.line()));
-  return Thread(child);
+  const Thread handle(child, child->id);
+  if (attr.detached) {
+    child->detached = true;
+    e->release_handle(child);
+  }
+  return handle;
 }
+
+namespace {
+
+// Handle checks shared by join and detach. The id comes first: a handle
+// whose join or detach already ran may point at a block recycled for
+// another thread. The pool keeps every block until the run ends, so the
+// read is of live memory, and the ids differ.
+void check_handle(const Engine* e, const Tcb* tcb, std::uint64_t id) {
+  DFTH_CHECK_MSG(e, "join/detach outside dfth::run");
+  DFTH_CHECK_MSG(tcb, "join/detach of invalid thread handle");
+  DFTH_CHECK_MSG(tcb->id == id,
+                 "stale thread handle: thread already joined or detached");
+  DFTH_CHECK_MSG(!tcb->joined, "thread joined twice, or detached after join");
+  DFTH_CHECK_MSG(!tcb->detached,
+                 "thread detached twice, or joined after detach");
+}
+
+}  // namespace
 
 void* join(Thread t) {
   Engine* e = engine();
-  DFTH_CHECK_MSG(e, "join outside dfth::run");
-  DFTH_CHECK_MSG(t.valid(), "join of invalid thread handle");
-  void* result = e->join(t.tcb_);
+  Tcb* child = t.tcb_;
+  check_handle(e, child, t.id_);
+  void* result = e->join(child);
+  child->joined = true;
   // Exit→joiner edge: everything the child (and its whole joined subtree)
   // did happens-before the code after this join.
-  DFTH_RACE_JOIN(e->current(), t.tcb_);
+  DFTH_RACE_JOIN(e->current(), child);
   if (Recorder* rec = active_recorder()) {
-    rec->on_join(t.tcb_->id, e->current() ? e->current()->id : 0);
+    rec->on_join(t.id_, e->current() ? e->current()->id : 0);
   }
+  e->release_handle(child);
   return result;
 }
 
 void detach(Thread t) {
   Engine* e = engine();
-  DFTH_CHECK_MSG(e, "detach outside dfth::run");
-  DFTH_CHECK_MSG(t.valid(), "detach of invalid thread handle");
-  e->detach(t.tcb_);
+  Tcb* child = t.tcb_;
+  check_handle(e, child, t.id_);
+  child->detached = true;
+  e->release_handle(child);
 }
 
 void yield() {
@@ -292,7 +316,7 @@ Thread spawn_dummy_subtree(std::uint64_t count) {
         return nullptr;
       },
       attr, /*is_dummy=*/true, "<dummy>", 0);
-  return Thread(tcb);
+  return Thread(tcb, tcb->id);
 }
 
 void insert_dummy_threads(std::uint64_t count) {
@@ -339,15 +363,18 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
   bool injected = false;
   void* p = TrackedHeap::instance().allocate_ex(bytes, &fresh,
                                                 /*probe_faults=*/true, &injected);
+  int injected_failures = injected ? 1 : 0;
   // OOM recovery. Retries skip the dummy-tree/auditor preamble above: the δ
   // credit was already granted for this allocation, and re-auditing would
   // double-count it. Each failed attempt asks the engine to recover
   // (preempt AsyncDF-style, shrink the effective quota, back off); the
   // engine bounds the attempts and we surface kNoMem once it gives up.
-  // Retries also skip the fault-site probe: one allocation request is one
-  // site evaluation, so an injected failure is transient by construction —
-  // re-probing let an aggressive plan fail every bounded retry and surface
-  // kNoMem into code that treats allocation as infallible.
+  // Whether a retry re-probes the fault site depends on the caller. df_malloc
+  // (null status) treats allocation as infallible, so its retries skip the
+  // probe: one request is one site evaluation, and an injected failure is
+  // transient. A caller that passed a status asked to see failures, so every
+  // retry is probed and a persistent fault surfaces as kNoMem.
+  const bool probe_retries = status != nullptr;
   for (int attempt = 0; p == nullptr; ++attempt) {
     if (e == nullptr || !e->on_alloc_failed(bytes, attempt)) {
       // Backpressure vs. terminal failure: while other threads hold tracked
@@ -362,10 +389,13 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
       }
       return nullptr;
     }
-    p = TrackedHeap::instance().allocate_ex(bytes, &fresh,
-                                            /*probe_faults=*/false);
+    p = TrackedHeap::instance().allocate_ex(bytes, &fresh, probe_retries,
+                                            &injected);
+    if (injected) ++injected_failures;
   }
-  if (injected) DFTH_FAULT_RECOVERED(resil::FaultSite::kHeapAlloc);
+  for (; injected_failures > 0; --injected_failures) {
+    DFTH_FAULT_RECOVERED(resil::FaultSite::kHeapAlloc);
+  }
   if (e) {
     if (Tcb* cur = e->current()) {
       if (cur->cancel != nullptr && cur->cancel->alloc_charge != nullptr) {

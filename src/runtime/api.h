@@ -115,21 +115,26 @@ struct RuntimeOptions {
   std::string record_tag;
 };
 
-/// Opaque thread handle (cheap to copy). Valid until the enclosing run()
-/// returns.
+/// Opaque thread handle (cheap to copy). Exactly one join or detach may be
+/// applied to it; the engine recycles the thread's control block once the
+/// thread has exited and that call has finished, so a later join or detach
+/// through any copy aborts with a diagnostic. id() stays valid until the
+/// enclosing run() returns.
 class Thread {
  public:
   Thread() = default;
   bool valid() const { return tcb_ != nullptr; }
-  std::uint64_t id() const;
+  std::uint64_t id() const { return id_; }
 
   /// Internal: wraps an engine-owned control block. Library code only.
-  explicit Thread(Tcb* tcb) : tcb_(tcb) {}
+  Thread(Tcb* tcb, std::uint64_t id) : tcb_(tcb), id_(id) {}
 
  private:
   friend void* join(Thread);
   friend void detach(Thread);
   Tcb* tcb_ = nullptr;
+  std::uint64_t id_ = 0;  ///< the block's id when spawned; a recycled
+                          ///< block carries another
 };
 
 /// Runs `main_fn` as the main thread under the given options; returns when

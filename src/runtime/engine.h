@@ -16,6 +16,7 @@
 
 #include "runtime/run_stats.h"
 #include "threads/tcb.h"
+#include "threads/tcb_pool.h"
 #include "util/spinlock.h"
 
 namespace dfth {
@@ -38,8 +39,12 @@ class Engine {
   virtual Tcb* spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
                      const char* site_file = nullptr, int site_line = 0) = 0;
   virtual void* join(Tcb* t) = 0;
-  virtual void detach(Tcb* t) = 0;
   virtual void yield() = 0;
+
+  /// Drops the handle side of t's two references (threads/tcb_pool.h).
+  /// runtime/api.cpp calls it once per spawned thread: after join has read
+  /// the child, on detach, or at spawn for Attr::detached.
+  void release_handle(Tcb* t) { tcbs_.release(t, Tcb::kHandleRef); }
 
   // -- synchronization support ----------------------------------------------
   /// Blocks the current fiber. The caller has already enqueued itself on a
@@ -88,6 +93,11 @@ class Engine {
   // -- virtual-time annotations (no-ops in the real engine) -------------------
   virtual void add_work(std::uint64_t ops) = 0;
   virtual void touch(const std::uint32_t* block_ids, std::size_t count) = 0;
+
+ protected:
+  /// Every control block of this engine's run; engines acquire from it at
+  /// spawn and drop the exit side after a thread's final switch.
+  TcbPool tcbs_;
 };
 
 /// The active engine, or nullptr outside dfth::run(). Deliberately a

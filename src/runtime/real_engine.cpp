@@ -83,22 +83,15 @@ RealEngine::RealEngine(const RuntimeOptions& opts) : opts_(opts) {
   stats_.nprocs = opts_.nprocs;
 }
 
-RealEngine::~RealEngine() {
-  for (Tcb* t : all_tcbs_) {
-    if (t->stack) StackPool::instance().release(t->stack);
-    context_destroy(&t->ctx);
-    delete t;
-  }
-}
+RealEngine::~RealEngine() = default;
 
 Tcb* RealEngine::make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy) {
-  Tcb* t = new Tcb(take_tid(next_tid_));
+  Tcb* t = tcbs_.acquire(take_tid(next_tid_));
   t->attr = attr;
   if (t->attr.stack_size == 0) t->attr.stack_size = opts_.default_stack_size;
   DFTH_CHECK(t->attr.priority >= 0 && t->attr.priority < kNumPriorities);
   t->entry = std::move(fn);
   t->is_dummy = is_dummy;
-  t->detached = attr.detached;
   if (!t->attr.bound) {
     // Real stacks honor the requested size but keep a floor under the
     // benchmarks' serial base cases.
@@ -145,6 +138,9 @@ void RealEngine::fiber_entry(void* arg) {
 }
 
 void RealEngine::finish_thread(Tcb* t) {
+#if DFTH_VALIDATE
+  if (auto* aud = analyze::active_auditor()) aud->on_exit(t);
+#endif
   DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
                   obs::EvKind::Exit, t->id, 0);
   DFTH_REPLAY_GATE_SELF();
@@ -177,7 +173,8 @@ void RealEngine::finish_thread(Tcb* t) {
 
 Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
                        const char* site_file, int site_line) {
-  const std::uint64_t fork_t0 = steady_now_ns();
+  // Only the profiler's fork-cost edge reads the clock.
+  const std::uint64_t fork_t0 = obs::profiler() ? steady_now_ns() : 0;
   Tcb* child = make_tcb(std::move(fn), attr, is_dummy);
   child->site_file = site_file;
   child->site_line = site_line;
@@ -209,7 +206,6 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
     DFTH_REPLAY_GATE_SELF();
     {
       std::lock_guard<std::mutex> lk(mu_);
-      all_tcbs_.push_back(child);
       ++live_;
       ++bound_live_;
       ++stats_.threads_created;
@@ -228,7 +224,6 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   DFTH_REPLAY_GATE_SELF();
   {
     std::lock_guard<std::mutex> lk(mu_);
-    all_tcbs_.push_back(child);
     preempt = sched_->register_thread(parent, child);
     ++live_;
     ++stats_.threads_created;
@@ -274,7 +269,6 @@ Tcb* RealEngine::run_inline(Tcb* child) {
   DFTH_REPLAY_GATE_SELF();
   {
     std::lock_guard<std::mutex> lk(mu_);
-    all_tcbs_.push_back(child);
     ++stats_.threads_created;
     ++stats_.inline_runs;
     if (child->is_dummy) ++stats_.dummy_threads;
@@ -300,6 +294,7 @@ Tcb* RealEngine::run_inline(Tcb* child) {
   child->finished = true;
   child->join_lock.unlock();
   child->state.store(ThreadState::Done, std::memory_order_release);
+  tcbs_.release(child, Tcb::kExitRef);  // the caller still holds the handle
   return child;
 }
 
@@ -321,12 +316,11 @@ void RealEngine::start_bound_thread(Tcb* t) {
     }
     finish_thread(t);
     tl_bound = nullptr;
+    tcbs_.release(t, Tcb::kExitRef);
   });
 }
 
 void* RealEngine::join(Tcb* t) {
-  DFTH_CHECK_MSG(!t->detached, "join of detached thread");
-  DFTH_CHECK_MSG(!t->joined, "thread joined twice");
   DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
                   obs::EvKind::Join, current() ? current()->id : 0, t->id);
   DFTH_REPLAY_GATE_SELF();
@@ -352,11 +346,8 @@ void* RealEngine::join(Tcb* t) {
     DFTH_PROF_JOIN(cur ? cur->id : 0, t->id,
                    (w && cur) ? steady_now_ns() - w->slice_start_ns : 0);
   }
-  t->joined = true;
   return t->result;
 }
-
-void RealEngine::detach(Tcb* t) { t->detached = true; }
 
 void RealEngine::yield() {
   Worker* w = this_worker();
@@ -612,6 +603,9 @@ void RealEngine::handle_post(Worker& w) {
       context_finalize(&t->ctx);
       StackPool::instance().release(t->stack);
       t->stack = Stack{};
+      // Not earlier: fiber_entry still writes t->state after finish_thread
+      // has woken the joiner, right up to the final switch.
+      tcbs_.release(t, Tcb::kExitRef);
       break;
     }
   }
@@ -967,7 +961,7 @@ void RealEngine::dump_flight(const char* reason, bool have_lock) {
   info.live_threads = live_;
   info.sched_state_consistent = locked;
   for (const Worker& w : workers_) info.lanes.push_back({w.id, w.current});
-  info.all_tcbs = &all_tcbs_;
+  info.tcbs = &tcbs_;
   info.sched = sched_.get();
   info.tracer = obs::tracer();
   if (auto* rs = replay::active()) {
@@ -1025,6 +1019,7 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   main->is_main = true;
   main->site_file = "<main>";
   main->site_line = 0;
+  release_handle(main);  // nobody joins main
   DFTH_RACE_FORK(main, nullptr);
   DFTH_PROF_THREAD_START(main->id, 0, 0, main->site_file, main->site_line);
   if (!main->stack) {
@@ -1036,7 +1031,6 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
     DFTH_REPLAY_GATE(::dfth::replay::kActorHost);
     {
       std::lock_guard<std::mutex> lk(mu_);
-      all_tcbs_.push_back(main);
       live_ = 1;
       ++bound_live_;
       stats_.threads_created = 1;
@@ -1049,7 +1043,6 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   } else {
     DFTH_REPLAY_GATE(::dfth::replay::kActorHost);
     std::lock_guard<std::mutex> lk(mu_);
-    all_tcbs_.push_back(main);
     sched_->register_thread(nullptr, main);
     main->state.store(ThreadState::Ready, std::memory_order_relaxed);
     sched_->on_ready(main, 0);
@@ -1141,6 +1134,7 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   stats_.stacks_fresh = StackPool::instance().fresh_count();
   stats_.stacks_reused = StackPool::instance().reuse_count();
   stats_.stack_high_water = StackPool::instance().high_water_bytes();
+  stats_.tcbs_allocated = tcbs_.allocated();
   if (auto* ws = dynamic_cast<WorkStealScheduler*>(sched_->underlying())) {
     stats_.steals = ws->steal_count();
   }

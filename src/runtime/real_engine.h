@@ -8,9 +8,10 @@
 // scheduler entirely, exactly like bound Solaris threads.
 //
 // This engine provides true concurrency for the synchronization stress
-// tests and real microsecond costs for the Figure 3 microbenchmark. On the
-// single-CPU reproduction host it cannot demonstrate speedup — that is
-// SimEngine's job — but oversubscribed workers still exercise every race.
+// tests, real microsecond costs for the Figure 3 microbenchmark, and the
+// wall-clock runs of dfbench. Its speedup is bounded by the host's cores;
+// SimEngine reproduces the paper's processor counts in virtual time, and
+// oversubscribed workers still exercise every race.
 //
 // Blocking protocol (the classic save-before-publish problem): a fiber that
 // blocks or is preempted never publishes itself as resumable directly.
@@ -46,7 +47,6 @@ class RealEngine final : public Engine {
   Tcb* spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
              const char* site_file, int site_line) override;
   void* join(Tcb* t) override;
-  void detach(Tcb* t) override;
   void yield() override;
   void block_current(SpinLock* guard) override;
   void block_current_timed(SpinLock* guard, WaitList* list,
@@ -74,7 +74,7 @@ class RealEngine final : public Engine {
     ReleaseGuard,   ///< unlock post_guard (fiber blocked on a wait list)
     Requeue,        ///< make post_fiber Ready again (yield / quota preempt)
     RunNext,        ///< requeue post_fiber, then run post_next directly
-    ExitCleanup,    ///< post_fiber exited: release its stack
+    ExitCleanup,    ///< post_fiber exited: release its stack and block
   };
 
   struct Worker {
@@ -166,7 +166,6 @@ class RealEngine final : public Engine {
   std::atomic<std::uint64_t> next_tid_{1};
 
   std::vector<Worker> workers_;
-  std::vector<Tcb*> all_tcbs_;    ///< guarded by mu_
   std::vector<std::thread> bound_threads_;  ///< guarded by mu_
 
   /// Effective allocation quota K; OOM recovery halves it (atomic: read on

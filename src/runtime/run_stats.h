@@ -94,6 +94,9 @@ struct RunStats {
   std::uint64_t dispatches = 0;
   std::uint64_t quota_preemptions = 0;
   std::uint64_t steals = 0;            ///< work stealing only
+  /// Control blocks the engine's TcbPool allocated: blocks are recycled, so
+  /// this follows the threads alive at once, not threads_created.
+  std::uint64_t tcbs_allocated = 0;
 
   // Resilience (degradation events survived; see src/resil/).
   std::uint64_t oom_preemptions = 0;   ///< heap exhaustion → AsyncDF-style preempt

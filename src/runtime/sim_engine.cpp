@@ -84,14 +84,7 @@ SimEngine::SimEngine(const RuntimeOptions& opts) : opts_(opts) {
   stats_.nprocs = opts_.nprocs;
 }
 
-SimEngine::~SimEngine() {
-  for (Tcb* t : all_tcbs_) {
-    if (t->stack) StackPool::instance().release(t->stack);
-    context_destroy(&t->ctx);
-    delete t;
-  }
-  context_destroy(&loop_ctx_);
-}
+SimEngine::~SimEngine() { context_destroy(&loop_ctx_); }
 
 void SimEngine::fiber_entry(void* arg) {
   Tcb* t = static_cast<Tcb*>(arg);
@@ -104,13 +97,12 @@ void SimEngine::fiber_entry(void* arg) {
 }
 
 Tcb* SimEngine::make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy) {
-  Tcb* t = new Tcb(next_tid_++);
+  Tcb* t = tcbs_.acquire(next_tid_++);
   t->attr = attr;
   if (t->attr.stack_size == 0) t->attr.stack_size = opts_.default_stack_size;
   DFTH_CHECK(t->attr.priority >= 0 && t->attr.priority < kNumPriorities);
   t->entry = std::move(fn);
   t->is_dummy = is_dummy;
-  t->detached = attr.detached;
   t->stack = StackPool::instance().acquire(is_dummy ? (64 << 10) : kRealStackBytes);
   if (t->stack && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kCtxCreate)) {
     StackPool::instance().release(t->stack);
@@ -121,7 +113,6 @@ Tcb* SimEngine::make_tcb(std::function<void*()> fn, const Attr& attr, bool is_du
   if (t->stack) {
     context_make(&t->ctx, t->stack.base, t->stack.top(), &fiber_entry, t);
   }
-  all_tcbs_.push_back(t);
   return t;
 }
 
@@ -203,13 +194,12 @@ Tcb* SimEngine::run_inline(Tcb* child) {
   DFTH_TRACE_EMIT(cur_proc_, obs::EvKind::Exit, child->id, 0);
   DFTH_PROF_EXIT(child->id, 0);
   // No joiner can exist yet: the handle only becomes visible once we return.
+  tcbs_.release(child, Tcb::kExitRef);
   return child;
 }
 
 void* SimEngine::join(Tcb* t) {
   DFTH_CHECK_MSG(in_fiber_, "join outside a thread");
-  DFTH_CHECK_MSG(!t->detached, "join of detached thread");
-  DFTH_CHECK_MSG(!t->joined, "thread joined twice");
   charge(kThread, opts_.cost.join_us);
   DFTH_TRACE_EMIT(cur_proc_, obs::EvKind::Join, cur_->id, t->id);
   if (!t->finished) {
@@ -227,11 +217,8 @@ void* SimEngine::join(Tcb* t) {
     // join_us included).
     DFTH_PROF_JOIN(cur_->id, t->id, pend_total_ns());
   }
-  t->joined = true;
   return t->result;
 }
-
-void SimEngine::detach(Tcb* t) { t->detached = true; }
 
 void SimEngine::yield() {
   DFTH_CHECK_MSG(in_fiber_, "yield outside a thread");
@@ -464,7 +451,7 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   }
 
   Attr main_attr;
-  Tcb* main = new Tcb(next_tid_++);
+  Tcb* main = tcbs_.acquire(next_tid_++);
   main->attr = main_attr;
   main->attr.stack_size = opts_.default_stack_size;
   main->is_main = true;
@@ -477,7 +464,7 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   // even the heap-backed fallback failed — the host is truly out of memory.
   DFTH_CHECK_MSG(main->stack, "out of memory acquiring the main fiber stack");
   context_make(&main->ctx, main->stack.base, main->stack.top(), &fiber_entry, main);
-  all_tcbs_.push_back(main);
+  release_handle(main);  // nobody joins main
   DFTH_RACE_FORK(main, nullptr);
 
   live_ = 1;
@@ -542,6 +529,7 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   // Real stacks back the simulated fibers too, so the watermark is
   // meaningful even under the Sim engine.
   stats_.stack_high_water = StackPool::instance().high_water_bytes();
+  stats_.tcbs_allocated = tcbs_.allocated();
   if (auto* ws = dynamic_cast<WorkStealScheduler*>(sched_->underlying())) {
     stats_.steals = ws->steal_count();
   }
@@ -861,6 +849,9 @@ void SimEngine::handle_event(VProc& vp, int pid) {
 
     case Ev::Exit: {
       Tcb* t = vp.running;
+#if DFTH_VALIDATE
+      if (auto* aud = analyze::active_auditor()) aud->on_exit(t);
+#endif
       const std::uint64_t exit_t0 = vp.clock_ns;
       sched_lock_acquire(vp, pid);
       sched_->unregister_thread(t);
@@ -885,6 +876,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
         wake(j);
       }
       vp.running = nullptr;
+      tcbs_.release(t, Tcb::kExitRef);
       break;
     }
 
@@ -936,7 +928,7 @@ void SimEngine::dump_flight(const char* reason) {
   for (int i = 0; i < static_cast<int>(procs_.size()); ++i) {
     info.lanes.push_back({i, procs_[static_cast<std::size_t>(i)].running});
   }
-  info.all_tcbs = &all_tcbs_;
+  info.tcbs = &tcbs_;
   info.sched = sched_.get();
   info.tracer = obs::tracer();
   if (auto* rs = replay::active()) {
@@ -953,21 +945,10 @@ void SimEngine::dump_flight(const char* reason) {
 }
 
 void SimEngine::report_deadlock() {
+  // The dump's thread section lists every thread that has not exited.
   dump_flight("SimEngine: deadlock — live threads but none runnable");
-  DFTH_LOG_ERROR("dfth: DEADLOCK — %lld live threads, none runnable:",
+  DFTH_LOG_ERROR("dfth: DEADLOCK — %lld live threads, none runnable",
                  static_cast<long long>(live_));
-  int shown = 0;
-  for (Tcb* t : all_tcbs_) {
-    const auto st = t->state.load(std::memory_order_relaxed);
-    if (st == ThreadState::Done) continue;
-    DFTH_LOG_ERROR("  thread %llu state=%s%s",
-                   static_cast<unsigned long long>(t->id), to_string(st),
-                   t->is_dummy ? " (dummy)" : "");
-    if (++shown >= 50) {
-      DFTH_LOG_ERROR("  ...");
-      break;
-    }
-  }
   DFTH_CHECK_MSG(false, "deadlock detected in simulation");
 }
 

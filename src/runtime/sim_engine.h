@@ -47,7 +47,6 @@ class SimEngine final : public Engine {
   Tcb* spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
              const char* site_file, int site_line) override;
   void* join(Tcb* t) override;
-  void detach(Tcb* t) override;
   void yield() override;
   void block_current(SpinLock* guard) override;
   void block_current_timed(SpinLock* guard, WaitList* list,
@@ -159,7 +158,6 @@ class SimEngine final : public Engine {
   RuntimeOptions opts_;
   std::unique_ptr<Scheduler> sched_;
   std::vector<VProc> procs_;
-  std::vector<Tcb*> all_tcbs_;
   Context loop_ctx_;
 
   Tcb* cur_ = nullptr;         ///< fiber currently executing (host CPU)

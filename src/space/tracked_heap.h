@@ -105,13 +105,14 @@ class TrackedHeap {
   /// bytes would overflow, or when the resil injector fails the
   /// `heap.alloc` site.
   /// `probe_faults` = false skips the kHeapAlloc fault-site evaluation:
-  /// df_try_malloc's OOM-recovery retries use it, so one allocation request
+  /// df_malloc's OOM-recovery retries use it, so one allocation request
   /// draws the site exactly once and an injected failure is transient by
   /// construction (an aggressive plan — every 2nd evaluation failing —
   /// could otherwise fail all bounded retries and surface kNoMem into code
-  /// that treats allocation as infallible). `injected_out` (may be null)
-  /// reports whether a nullptr return was an injected failure as opposed to
-  /// the backing malloc failing.
+  /// that treats allocation as infallible). df_try_malloc with a status
+  /// probes every retry, so its caller sees persistent faults.
+  /// `injected_out` (may be null) reports whether a nullptr return was an
+  /// injected failure as opposed to the backing malloc failing.
   void* allocate_ex(std::size_t bytes, std::int64_t* fresh_bytes_out,
                     bool probe_faults = true, bool* injected_out = nullptr);
 

@@ -1,6 +1,7 @@
 // Thread control block: one per user-level thread, shared by every engine
 // and scheduler. Intrusive links keep scheduler and wait-queue operations
-// allocation-free.
+// allocation-free. Blocks are recycled through the engine's TcbPool
+// (threads/tcb_pool.h) once both of their references are released.
 #pragma once
 
 #include <atomic>
@@ -28,6 +29,11 @@ enum class ThreadState : std::uint8_t {
 const char* to_string(ThreadState state);
 
 struct Tcb {
+  /// The two references a block carries (refs): the Thread handle's side and
+  /// the engine's exit side. The last one released recycles the block.
+  static constexpr std::uint8_t kHandleRef = 1;
+  static constexpr std::uint8_t kExitRef = 2;
+
   explicit Tcb(std::uint64_t id_in) : id(id_in) {}
 
   Tcb(const Tcb&) = delete;
@@ -40,6 +46,7 @@ struct Tcb {
   void* result = nullptr;
   bool is_dummy = false;  ///< δ no-op thread inserted before a large alloc
   bool is_main = false;
+  std::atomic<std::uint8_t> refs{kHandleRef | kExitRef};  ///< see TcbPool
   /// Spawn call site (static storage duration; from std::source_location in
   /// dfth::spawn). Keys the work/span profiler's per-site attribution;
   /// always present so Tcb layout is flag-independent.
@@ -55,6 +62,7 @@ struct Tcb {
   SpinLock join_lock;
   Tcb* joiner = nullptr;   ///< thread blocked in join() on this thread
   bool finished = false;   ///< entry has returned / exit was called
+  // Written and read only through the Thread handle (runtime/api.cpp).
   bool detached = false;
   bool joined = false;
 

@@ -13,6 +13,7 @@
 #include "core/asyncdf_sched.h"
 #include "core/fifo_sched.h"
 #include "runtime/api.h"
+#include "runtime/sync.h"
 #include "util/rng.h"
 
 namespace dfth {
@@ -316,6 +317,36 @@ TEST_P(AuditedEngineTest, RealEngineRunSatisfiesAllInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AuditedEngineTest, ::testing::Values(7, 19, 42));
+
+class AuditedExitTest : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(AuditedExitTest, ExitingWhileHoldingALockIsAViolation) {
+  if (!analyze::validate_enabled()) {
+    GTEST_SKIP() << "held-lock tracking needs -DDFTH_VALIDATE=ON";
+  }
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RuntimeOptions o;
+  o.engine = GetParam();
+  o.sched = SchedKind::AsyncDf;
+  o.nprocs = 2;
+  o.default_stack_size = 8 << 10;
+  EXPECT_DEATH(run(o,
+                   [] {
+                     static Mutex m;
+                     Thread t = spawn([]() -> void* {
+                       m.lock();
+                       return nullptr;  // never unlocks
+                     });
+                     join(t);
+                   }),
+               "thread exited holding a lock");
+}
+
+INSTANTIATE_TEST_SUITE_P(BothEngines, AuditedExitTest,
+                         ::testing::Values(EngineKind::Sim, EngineKind::Real),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 }  // namespace
 }  // namespace dfth

@@ -86,6 +86,11 @@ TEST_F(ExportTest, RunStatsJsonCarriesTheHeadlineFields) {
   EXPECT_NE(json.find("\"scheduler\""), std::string::npos);
   EXPECT_NE(json.find("\"heap_peak\""), std::string::npos);
   EXPECT_NE(json.find("\"max_live_threads\""), std::string::npos);
+  EXPECT_NE(json.find("\"tcbs_allocated\": " +
+                      std::to_string(r.stats.tcbs_allocated)),
+            std::string::npos)
+      << json;
+  EXPECT_GT(r.stats.tcbs_allocated, 0u);
   EXPECT_NE(json.find("\"breakdown\""), std::string::npos);
 }
 

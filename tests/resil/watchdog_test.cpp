@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -85,6 +87,68 @@ TEST(WatchdogDeathTest, SimVirtualDeadlineTripsAndDumpsFlightRecorder) {
   EXPECT_NE(dump.find("-- trace-ring tail --"), std::string::npos) << dump;
   // A trace session was installed, so the tail has real events.
   EXPECT_NE(dump.find(" ns lane "), std::string::npos) << dump;
+}
+
+std::uint64_t fork_tree(int depth) {
+  if (depth == 0) return 1;
+  Thread l = spawn([depth]() -> void* {
+    return reinterpret_cast<void*>(fork_tree(depth - 1));
+  });
+  Thread r = spawn([depth]() -> void* {
+    return reinterpret_cast<void*>(fork_tree(depth - 1));
+  });
+  return reinterpret_cast<std::uint64_t>(join(l)) +
+         reinterpret_cast<std::uint64_t>(join(r));
+}
+
+TEST(WatchdogDeathTest, ThreadListFollowsLiveThreadsNotThreadsEverCreated) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string dump_path = ::testing::TempDir() + "dfth_flight_tree.txt";
+  std::remove(dump_path.c_str());
+  auto hang = [&dump_path] {
+    RuntimeOptions o;
+    o.engine = EngineKind::Sim;
+    o.sched = SchedKind::AsyncDf;
+    o.nprocs = 2;
+    o.default_stack_size = 8 << 10;
+    o.watchdog.virtual_deadline_ns = 2'000'000'000;  // past the tree's end
+    o.watchdog.dump_path = dump_path;
+    run(o, [] {
+      // 2^13 threads come and go before the stall.
+      if (fork_tree(12) != (1u << 12)) std::abort();
+      auto t = spawn([]() -> void* {
+        while (true) {
+          annotate_work(10'000'000);
+          yield();
+        }
+        return nullptr;
+      });
+      join(t);
+    });
+  };
+  EXPECT_DEATH(hang(), "DFTH FLIGHT RECORDER");
+
+  const std::string dump = slurp(dump_path);
+  const std::size_t at = dump.find("-- threads (");
+  ASSERT_NE(at, std::string::npos) << dump;
+  std::size_t live = 0;
+  std::size_t blocks = 0;
+  ASSERT_EQ(std::sscanf(dump.c_str() + at,
+                        "-- threads (%zu live of %zu control blocks) --",
+                        &live, &blocks),
+            2)
+      << dump;
+  // main (blocked in join) and the spinner; the tree's blocks were recycled.
+  EXPECT_EQ(live, 2u);
+  EXPECT_LT(blocks, 256u);
+  const std::size_t end = dump.find("\n-- ", at + 1);
+  const std::string section = dump.substr(at, end - at);
+  std::size_t lines = 0;
+  for (std::size_t p = section.find("\n  t"); p != std::string::npos;
+       p = section.find("\n  t", p + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, live) << section;
 }
 
 TEST(WatchdogDeathTest, RealStallDeadlineTripsOnNoProgress) {
