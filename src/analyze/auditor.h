@@ -97,8 +97,8 @@ class InvariantAuditor {
 
 /// Decorator installed by make_scheduler under DFTH_VALIDATE. Forwards every
 /// Scheduler call to the wrapped policy and audits the result. underlying()
-/// exposes the wrapped policy so engines can still dynamic_cast for
-/// policy-specific stats.
+/// exposes the wrapped policy so diagnostics can still dynamic_cast for
+/// policy-specific state.
 class AuditedScheduler final : public Scheduler {
  public:
   explicit AuditedScheduler(std::unique_ptr<Scheduler> inner);
@@ -113,6 +113,7 @@ class AuditedScheduler final : public Scheduler {
   Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) override;
   void unregister_thread(Tcb* t) override;
   std::size_t ready_count() const override { return inner_->ready_count(); }
+  std::uint64_t steal_count() const override { return inner_->steal_count(); }
   int lock_domain(int proc) const override { return inner_->lock_domain(proc); }
 
   InvariantAuditor& auditor() { return auditor_; }

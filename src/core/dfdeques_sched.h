@@ -50,7 +50,7 @@ class DfDequesScheduler final : public Scheduler {
   void unregister_thread(Tcb* t) override;
   std::size_t ready_count() const override { return ready_; }
 
-  std::uint64_t steal_count() const { return steals_; }
+  std::uint64_t steal_count() const override { return steals_; }
 
   /// True iff proc a's deque precedes proc b's in the global order (tests).
   bool deque_before(int a, int b) const;

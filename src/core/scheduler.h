@@ -70,9 +70,13 @@ class Scheduler {
   /// Number of threads currently in the ready structure (stats/tests).
   virtual std::size_t ready_count() const = 0;
 
+  /// Threads taken from another processor's deque (RunStats::steals); zero
+  /// for the policies without per-processor deques.
+  virtual std::uint64_t steal_count() const { return 0; }
+
   /// The concrete policy object, unwrapping any validation decorator
   /// (DFTH_VALIDATE builds wrap every policy in analyze::AuditedScheduler);
-  /// engines dynamic_cast this for policy-specific stats.
+  /// diagnostics dynamic_cast this for policy-specific state.
   virtual Scheduler* underlying() { return this; }
 
   /// Serialization domain of a processor's queue operations: the simulator

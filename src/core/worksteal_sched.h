@@ -31,7 +31,7 @@ class WorkStealScheduler final : public Scheduler {
   void unregister_thread(Tcb* t) override;
   std::size_t ready_count() const override { return ready_; }
 
-  std::uint64_t steal_count() const { return steals_; }
+  std::uint64_t steal_count() const override { return steals_; }
 
  private:
   /// Pops an eligible thread from `dq`; `from_top` selects the owner end

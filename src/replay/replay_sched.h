@@ -49,11 +49,15 @@ class ReplayScheduler final : public Scheduler {
   void unregister_thread(Tcb* t) override;
   std::size_t ready_count() const override;
 
-  /// Steals consumed from the log's annotations (Pin mode). Only WorkSteal
-  /// feeds RunStats::steals in live runs, so other kinds report 0 to keep
-  /// replayed stats identical to recorded ones.
-  std::uint64_t steal_count() const {
-    return logged_kind_ == SchedKind::WorkSteal ? steals_ : 0;
+  /// Steals consumed from the log's annotations (Pin mode). Only the deque
+  /// policies count steals in live runs (the clustered scheduler's
+  /// migrations are annotated but not counted), so other kinds report 0 to
+  /// keep replayed stats identical to recorded ones.
+  std::uint64_t steal_count() const override {
+    return logged_kind_ == SchedKind::WorkSteal ||
+                   logged_kind_ == SchedKind::DfDeques
+               ? steals_
+               : 0;
   }
   /// Cross mode: decisions the simulator could not serve in logged order.
   std::uint64_t divergences() const { return divergences_; }

@@ -341,6 +341,22 @@ void* df_malloc(std::size_t bytes) { return df_try_malloc(bytes, nullptr); }
 
 void* df_try_malloc(std::size_t bytes, DfStatus* status) {
   Engine* e = engine();
+  // Backpressure vs. terminal failure: while other threads hold tracked
+  // bytes, their frees can make a retry succeed — that is kOverloaded, the
+  // admission controller's shed signal. Only an empty tracked heap (or no
+  // engine to preempt through) means the caller gets terminal kNoMem.
+  auto fail = [&] {
+    if (status) {
+      *status = (e != nullptr && TrackedHeap::instance().live_bytes() > 0)
+                    ? DfStatus::kOverloaded
+                    : DfStatus::kNoMem;
+    }
+    return nullptr;
+  };
+  // A request no host could meet fails before the δ dummy tree (which would
+  // be ⌈m/K⌉ threads) and before OOM recovery, whose rounds would only shrink
+  // K for the rest of the run.
+  if (bytes > TrackedHeap::max_request_bytes()) return fail();
   if (e && e->uses_alloc_quota()) {
     const std::size_t quota = e->quota_bytes();
     if (quota > 0 && bytes > quota) {
@@ -376,19 +392,7 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
   // retry is probed and a persistent fault surfaces as kNoMem.
   const bool probe_retries = status != nullptr;
   for (int attempt = 0; p == nullptr; ++attempt) {
-    if (e == nullptr || !e->on_alloc_failed(bytes, attempt)) {
-      // Backpressure vs. terminal failure: while other threads hold tracked
-      // bytes, their frees can make a retry succeed — that is kOverloaded,
-      // the admission controller's shed signal. Only an empty tracked heap
-      // (or no engine to preempt through) means the allocation can never
-      // succeed and the caller gets terminal kNoMem.
-      if (status) {
-        *status = (e != nullptr && TrackedHeap::instance().live_bytes() > 0)
-                      ? DfStatus::kOverloaded
-                      : DfStatus::kNoMem;
-      }
-      return nullptr;
-    }
+    if (e == nullptr || !e->on_alloc_failed(bytes, attempt)) return fail();
     p = TrackedHeap::instance().allocate_ex(bytes, &fresh, probe_retries,
                                             &injected);
     if (injected) ++injected_failures;

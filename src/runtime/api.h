@@ -31,8 +31,8 @@
 #include "graph/recorder.h"
 #include "resil/watchdog.h"
 #include "runtime/cost_model.h"
-#include "runtime/engine.h"
 #include "runtime/run_stats.h"
+#include "threads/tcb.h"
 
 namespace dfth {
 

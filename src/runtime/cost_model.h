@@ -1,9 +1,10 @@
 // Virtual-time cost model for the SMP simulation engine.
 //
-// The host for this reproduction has a single CPU, so the paper's speedup
-// and time-breakdown measurements cannot be taken on real hardware; instead
-// SimEngine executes the benchmarks' real code under a discrete-event model
-// of a p-processor SMP. This struct holds every constant of that model,
+// The paper's speedup and time-breakdown figures run to more processors than
+// the 4-core host has, in the Solaris SMP's time; SimEngine reproduces them
+// by executing the benchmarks' real code under a discrete-event model of a
+// p-processor SMP (RealEngine is the engine timed on the host's cores).
+// This struct holds every constant of that model,
 // calibrated to the paper's Figure 3 (167 MHz UltraSPARC, Solaris 2.5):
 //
 //   * unbound thread create 20.5 µs (their headline number; "over 3400

@@ -4,24 +4,16 @@
 #include <chrono>
 #include <limits>
 
-#include "analyze/race_hooks.h"
-#include "core/worksteal_sched.h"
 #include "obs/counters.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "replay/hooks.h"
 #include "replay/log.h"
+#include "replay/replay_sched.h"
 #include "resil/faults.h"
-#include "resil/watchdog.h"
 #include "space/tracked_heap.h"
 #include "util/check.h"
 #include "util/timer.h"
-
-#include "replay/replay_sched.h"
-
-#if DFTH_VALIDATE
-#include "analyze/auditor.h"
-#endif
 
 namespace dfth {
 namespace {
@@ -49,6 +41,23 @@ std::uint64_t take_tid(std::atomic<std::uint64_t>& next) {
   return next++;
 }
 
+// True while a strict replay still has logged decisions to serve.
+bool replay_pinned() {
+  auto* rs = replay::active();
+  return rs != nullptr && rs->mode() == replay::Mode::Replay &&
+         !rs->replay_exhausted();
+}
+
+// Schedule-pinned replay: serve the logged dispatch outcomes instead of
+// re-running the recorded policy (see replay/replay_sched.h for why the
+// policy itself cannot be replayed through).
+std::unique_ptr<Scheduler> pinned_replay_scheduler(SchedKind sched) {
+  auto* rs = replay::active();
+  if (rs == nullptr || rs->mode() != replay::Mode::Replay) return nullptr;
+  return std::make_unique<replay::ReplayScheduler>(
+      rs, sched, replay::ReplayScheduler::Pinning::Pin);
+}
+
 }  // namespace
 
 // Both accessors are noinline on purpose: fibers migrate between kernel
@@ -63,52 +72,27 @@ __attribute__((noinline)) Tcb* RealEngine::current() {
   return tl_bound;
 }
 
-RealEngine::RealEngine(const RuntimeOptions& opts) : opts_(opts) {
-  DFTH_CHECK(opts_.nprocs >= 1);
-  if (auto* rs = replay::active();
-      rs != nullptr && rs->mode() == replay::Mode::Replay) {
-    // Schedule-pinned replay: serve the logged dispatch outcomes instead of
-    // re-running the recorded policy (see replay/replay_sched.h for why the
-    // policy itself cannot be replayed through).
-    sched_ = std::make_unique<replay::ReplayScheduler>(
-        rs, opts_.sched, replay::ReplayScheduler::Pinning::Pin);
-  }
-  if (!sched_) {
-    sched_ = make_scheduler(opts_.sched, opts_.nprocs, opts_.seed,
-                            opts_.cluster_size);
-  }
-  eff_quota_.store(opts_.mem_quota, std::memory_order_relaxed);
-  stats_.engine = EngineKind::Real;
-  stats_.sched = opts_.sched;
-  stats_.nprocs = opts_.nprocs;
+int RealEngine::lane() const {
+  Worker* w = this_worker();
+  return w ? w->id : opts_.nprocs;
 }
+
+RealEngine::RealEngine(const RuntimeOptions& opts)
+    : Engine(opts, pinned_replay_scheduler(opts.sched), &fiber_entry) {}
 
 RealEngine::~RealEngine() = default;
 
-Tcb* RealEngine::make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy) {
-  Tcb* t = tcbs_.acquire(take_tid(next_tid_));
-  t->attr = attr;
-  if (t->attr.stack_size == 0) t->attr.stack_size = opts_.default_stack_size;
-  DFTH_CHECK(t->attr.priority >= 0 && t->attr.priority < kNumPriorities);
-  t->entry = std::move(fn);
-  t->is_dummy = is_dummy;
-  if (!t->attr.bound) {
-    // Real stacks honor the requested size but keep a floor under the
-    // benchmarks' serial base cases.
-    t->stack = StackPool::instance().acquire(std::max(t->attr.stack_size, kRealStackFloor));
-    if (t->stack && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kCtxCreate)) {
-      StackPool::instance().release(t->stack);
-      t->stack = Stack{};
-      // The inline-run fallback in spawn() absorbs this.
-      DFTH_FAULT_RECOVERED(resil::FaultSite::kCtxCreate);
-    }
-    if (t->stack) {
-      context_make(&t->ctx, t->stack.base, t->stack.top(), &fiber_entry, t);
-      DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                      t->stack.fresh ? obs::EvKind::StackFresh
-                                     : obs::EvKind::StackReuse,
-                      t->id, t->stack.size);
-    }
+Tcb* RealEngine::make_fiber(std::function<void*()> fn, const Attr& attr,
+                            bool is_dummy) {
+  // Real stacks honor the requested size but keep a floor under the
+  // benchmarks' serial base cases.
+  const std::size_t size = attr.stack_size ? attr.stack_size : opts_.default_stack_size;
+  Tcb* t = make_tcb(std::move(fn), attr, is_dummy, take_tid(next_tid_),
+                    attr.bound ? 0 : std::max(size, kRealStackFloor));
+  if (t->stack) {
+    DFTH_TRACE_EMIT(lane(), t->stack.fresh ? obs::EvKind::StackFresh
+                                           : obs::EvKind::StackReuse,
+                    t->id, t->stack.size);
   }
   return t;
 }
@@ -138,11 +122,8 @@ void RealEngine::fiber_entry(void* arg) {
 }
 
 void RealEngine::finish_thread(Tcb* t) {
-#if DFTH_VALIDATE
-  if (auto* aud = analyze::active_auditor()) aud->on_exit(t);
-#endif
-  DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                  obs::EvKind::Exit, t->id, 0);
+  audit_exit(t);
+  DFTH_TRACE_EMIT(lane(), obs::EvKind::Exit, t->id, 0);
   DFTH_REPLAY_GATE_SELF();
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -175,23 +156,10 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
                        const char* site_file, int site_line) {
   // Only the profiler's fork-cost edge reads the clock.
   const std::uint64_t fork_t0 = obs::profiler() ? steady_now_ns() : 0;
-  Tcb* child = make_tcb(std::move(fn), attr, is_dummy);
-  child->site_file = site_file;
-  child->site_line = site_line;
+  Tcb* child = make_fiber(std::move(fn), attr, is_dummy);
   Worker* w = this_worker();
   Tcb* parent = current();
-  child->parent = parent;
-  // Deadline propagation: a child without its own cancellation scope joins
-  // the parent's, so a request's token covers the whole spawn subtree.
-  child->cancel =
-      attr.cancel != nullptr ? attr.cancel : (parent ? parent->cancel : nullptr);
-  DFTH_RACE_FORK(child, parent);
-  if (Recorder* rec = active_recorder()) {
-    rec->on_thread_start(child->id, parent ? parent->id : 0);
-  }
-  DFTH_TRACE_EMIT(w ? w->id : opts_.nprocs,
-                  is_dummy ? obs::EvKind::DummySpawn : obs::EvKind::Fork,
-                  parent ? parent->id : 0, child->id);
+  link_child(child, parent, site_file, site_line);
   // Fork edge, emitted before the child is published to the scheduler —
   // another worker may dispatch it (and charge work to it) the moment
   // register_thread returns. The offset is the parent's uncharged partial
@@ -218,7 +186,19 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
     return child;
   }
 
-  if (!child->stack) return run_inline(child);
+  if (!child->stack) {
+    // Never registered with the scheduler and never counted in live_: the
+    // child is already Done when the handle becomes visible.
+    DFTH_REPLAY_GATE_SELF();
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      count_inline_spawn(parent, child);
+      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
+                         ::dfth::replay::self_actor(), child->id,
+                         ::dfth::replay::kSpawnInline);
+    }
+    return run_inline(child);
+  }
 
   bool preempt;
   DFTH_REPLAY_GATE_SELF();
@@ -258,46 +238,6 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   return child;
 }
 
-Tcb* RealEngine::run_inline(Tcb* child) {
-  // Stack or context acquisition failed even after the pool's fallbacks.
-  // Degrade by running the child to completion on the caller's stack: the
-  // child precedes the parent's continuation in the serial depth-first
-  // order, so this is the 1-processor schedule — correct, just not
-  // parallel. The child is never registered with the scheduler and never
-  // counted in live_ (it is already Done when the handle becomes visible).
-  [[maybe_unused]] Tcb* parent = current();
-  DFTH_REPLAY_GATE_SELF();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.threads_created;
-    ++stats_.inline_runs;
-    if (child->is_dummy) ++stats_.dummy_threads;
-#if DFTH_VALIDATE
-    if (auto* aud = analyze::active_auditor()) aud->on_inline_run(parent, child);
-#endif
-    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                       ::dfth::replay::self_actor(), child->id,
-                       ::dfth::replay::kSpawnInline);
-  }
-  child->state.store(ThreadState::Running, std::memory_order_relaxed);
-  ++child->dispatches;
-  DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                  obs::EvKind::Dispatch, child->id, child->dispatches);
-  child->result = child->entry();
-  child->entry = nullptr;
-  DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                  obs::EvKind::Exit, child->id, 0);
-  // The body's time lands in the caller's slice (it ran on the caller's
-  // stack — serialized on the caller's span, which is what inline means).
-  DFTH_PROF_EXIT(child->id, 0);
-  child->join_lock.lock();
-  child->finished = true;
-  child->join_lock.unlock();
-  child->state.store(ThreadState::Done, std::memory_order_release);
-  tcbs_.release(child, Tcb::kExitRef);  // the caller still holds the handle
-  return child;
-}
-
 void RealEngine::start_bound_thread(Tcb* t) {
   std::lock_guard<std::mutex> lk(mu_);
   bound_threads_.emplace_back([this, t] {
@@ -321,8 +261,7 @@ void RealEngine::start_bound_thread(Tcb* t) {
 }
 
 void* RealEngine::join(Tcb* t) {
-  DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                  obs::EvKind::Join, current() ? current()->id : 0, t->id);
+  DFTH_TRACE_EMIT(lane(), obs::EvKind::Join, current() ? current()->id : 0, t->id);
   DFTH_REPLAY_GATE_SELF();
   t->join_lock.lock();
   // The join-vs-exit race on join_lock decides blocking; commit the outcome
@@ -368,7 +307,7 @@ void RealEngine::block_current(SpinLock* guard) {
   DFTH_CHECK_MSG(guard->is_locked(),
                  "block_current without holding the wait-list guard");
   Worker* w = this_worker();
-  DFTH_TRACE_EMIT(w ? w->id : opts_.nprocs, obs::EvKind::Block, cur->id, 0);
+  DFTH_TRACE_EMIT(lane(), obs::EvKind::Block, cur->id, 0);
   if (!w || cur->attr.bound) {
     // Bound threads have no fiber to switch away from: release the guard
     // and wait for wake() to flip the state (kernel-level blocking stand-in).
@@ -386,39 +325,24 @@ void RealEngine::block_current(SpinLock* guard) {
 void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
                                      std::uint64_t timeout_ns) {
   Tcb* cur = current();
-  DFTH_CHECK(cur && cur->state.load(std::memory_order_relaxed) == ThreadState::Blocked);
-  DFTH_CHECK_MSG(guard != nullptr && guard->is_locked(),
-                 "block_current_timed without holding the wait-list guard");
-  DFTH_CHECK(list != nullptr);
-  cur->timed_out = false;
+  const Sleeper s = arm_timed_wait(cur, guard, list, timeout_ns);
   Worker* w = this_worker();
-  DFTH_TRACE_EMIT(w ? w->id : opts_.nprocs, obs::EvKind::Block, cur->id, 0);
+  DFTH_TRACE_EMIT(lane(), obs::EvKind::Block, cur->id, 0);
 
   if (!w || cur->attr.bound) {
     // Bound threads poll with a deadline: on expiry, claim ourselves off the
     // wait list under the guard. Losing the claim means a waker popped us
     // and is about to flip our state — keep spinning for that.
     guard->unlock();
-    const std::uint64_t deadline = steady_now_ns() + timeout_ns;
     while (cur->state.load(std::memory_order_acquire) == ThreadState::Blocked) {
-      bool due = steady_now_ns() >= deadline;
-      if (auto* rs = replay::active();
-          rs != nullptr && rs->mode() == replay::Mode::Replay &&
-          !rs->replay_exhausted()) {
-        // The deadline-vs-waker race is pinned: expire exactly when the log
-        // says this waiter claimed itself, never on this run's wall clock.
-        due = rs->head_is(replay::EvKind::TimeoutClaim, cur->id, nullptr);
-      }
+      // In a pinned replay the deadline-vs-waker race expires exactly when
+      // the log says this waiter claimed itself, never on the wall clock.
+      const bool due = replay_pinned()
+                           ? replay::active()->head_is(
+                                 replay::EvKind::TimeoutClaim, cur->id, nullptr)
+                           : steady_now_ns() >= s.deadline_ns;
       if (due) {
-        guard->lock();
-        const bool claimed = list->remove(cur);
-        if (claimed) {
-          DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutClaim, cur->id,
-                             cur->id, 0);
-        }
-        guard->unlock();
-        if (claimed) {
-          cur->timed_out = true;
+        if (claim_timeout(s, cur->id)) {
           cur->state.store(ThreadState::Ready, std::memory_order_relaxed);
           {
             std::lock_guard<std::mutex> lk(mu_);
@@ -439,32 +363,22 @@ void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
   // — so a premature fire blocks on the guard until the save completes.
   {
     std::lock_guard<std::mutex> lk(sup_mu_);
-    sleepers_.push_back({steady_now_ns() + timeout_ns, cur, guard, list});
+    sleepers_.push_back(s);
   }
   sup_cv_.notify_all();
   w->post = Post::ReleaseGuard;
   w->post_guard = guard;
   context_switch(&cur->ctx, &w->ctx);
-  // Resumed by the timer or a waker; either way the timer entry is dead.
+  // Resumed by the timer or a waker; either way the timer entry is dead. An
+  // in-flight fire for us already left sleepers_ but may not have taken the
+  // guard yet; wait it out or it could claim our *next* wait.
+  std::unique_lock<std::mutex> lk(sup_mu_);
+  sup_cv_.wait(lk, [this, cur] { return firing_ != cur; });
   cancel_sleeper(cur);
 }
 
-void RealEngine::cancel_sleeper(Tcb* t) {
-  std::unique_lock<std::mutex> lk(sup_mu_);
-  // An in-flight fire for t already left sleepers_ but may not have taken
-  // the guard yet; wait it out or it could claim t's *next* wait.
-  sup_cv_.wait(lk, [this, t] { return firing_ != t; });
-  for (std::size_t i = 0; i < sleepers_.size(); ++i) {
-    if (sleepers_[i].t == t) {
-      sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
 void RealEngine::wake(Tcb* t) {
-  DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                  obs::EvKind::Wake, t->id, current() ? current()->id : 0);
+  DFTH_TRACE_EMIT(lane(), obs::EvKind::Wake, t->id, current() ? current()->id : 0);
   {
     Worker* w = this_worker();
     Tcb* cur = current();
@@ -494,8 +408,7 @@ void RealEngine::wake(Tcb* t) {
 
 void RealEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
   (void)fresh_bytes;
-  DFTH_TRACE_ALLOC_EVENT(this_worker() ? this_worker()->id : opts_.nprocs,
-                         obs::EvKind::Alloc, current() ? current()->id : 0,
+  DFTH_TRACE_ALLOC_EVENT(lane(), obs::EvKind::Alloc, current() ? current()->id : 0,
                          bytes);
   if (!sched_->needs_quota()) return;
   Tcb* cur = current();
@@ -516,24 +429,17 @@ void RealEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
 }
 
 void RealEngine::on_free(std::size_t bytes) {
-  DFTH_TRACE_ALLOC_EVENT(this_worker() ? this_worker()->id : opts_.nprocs,
-                         obs::EvKind::Free, current() ? current()->id : 0,
+  DFTH_TRACE_ALLOC_EVENT(lane(), obs::EvKind::Free, current() ? current()->id : 0,
                          bytes);
 }
-
-bool RealEngine::uses_alloc_quota() const { return sched_->needs_quota(); }
 
 bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   (void)bytes;
   // Treat heap exhaustion like quota exhaustion: preempt AsyncDF-style,
   // shrink the effective K, back off, retry — bounded, then df_try_malloc
   // surfaces DfStatus::kNoMem.
-  constexpr int kOomMaxAttempts = 16;
   if (attempt >= kOomMaxAttempts) return false;
   Tcb* cur = current();
-#if DFTH_VALIDATE
-  if (auto* aud = analyze::active_auditor()) aud->on_oom_preempt(cur);
-#endif
   // The halving is an ordered decision: every later dispatch grants
   // t->quota from eff_quota_, so the quota a fiber runs with — and hence
   // where it quota-preempts — depends on how many halvings landed before
@@ -544,13 +450,7 @@ bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   DFTH_REPLAY_GATE_SELF();
   {
     std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.oom_preemptions;
-    const std::size_t q = eff_quota_.load(std::memory_order_relaxed);
-    std::size_t shrunk = q;
-    if (q > 0) {
-      shrunk = std::max<std::size_t>(q / 2, 4096);
-      eff_quota_.store(shrunk, std::memory_order_relaxed);
-    }
+    const std::size_t shrunk = shrink_quota(cur);
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::QuotaShrink,
                        ::dfth::replay::self_actor(), shrunk,
                        static_cast<std::uint64_t>(attempt));
@@ -626,39 +526,18 @@ void RealEngine::enqueue_ready(Tcb* t, int proc_hint) {
 
 std::uint64_t RealEngine::now_ns() const { return steady_now_ns(); }
 
-std::uint64_t RealEngine::dispatch_cancel_flags(Tcb* t, int lane,
-                                                std::uint64_t base) {
-  CancelToken* c = t->cancel;
-  bool fire = false;
-  if (auto* rs = replay::active();
-      rs != nullptr && rs->mode() == replay::Mode::Replay &&
-      !rs->replay_exhausted()) {
-    // Pinned replay: this lane's gate already passed, so the head is this
-    // very Dispatch — read the recorded expire-or-not flag instead of the
-    // clock (which drifts between runs). head_is failing here just means
-    // the run is about to diverge; commit will diagnose that, so stay
-    // conservative and don't fire.
-    std::uint64_t tid = 0;
-    std::uint64_t logged_b = 0;
-    if (rs->head_is(replay::EvKind::Dispatch, replay::lane_actor(lane), &tid,
-                    nullptr, &logged_b) &&
-        tid == t->id) {
-      fire = (logged_b & replay::kDispatchDeadline) != 0;
-    }
-    if (!fire) return base;
-    if (c != nullptr && !c->is_cancelled()) c->cancel();
-    ++stats_.deadline_expirations;
-    DFTH_TRACE_EMIT(lane, obs::EvKind::Preempt, t->id, obs::kPreemptDeadline);
-    return base | replay::kDispatchDeadline;
-  }
-  fire = c != nullptr && c->deadline_ns != 0 && !c->is_cancelled() &&
-         steady_now_ns() >= c->deadline_ns;
-  if (!fire) return base;
-  c->cancel();
-  ++stats_.deadline_expirations;
-  DFTH_TRACE_EMIT(lane, obs::EvKind::Preempt, t->id, obs::kPreemptDeadline);
-  DFTH_REPLAY_CANCEL_FIRE(lane, t->id);
-  return base | ::dfth::replay::kDispatchDeadline;
+bool RealEngine::deadline_due(const Tcb* t, int lane) {
+  if (!replay_pinned()) return Engine::deadline_due(t, lane);
+  // This lane's gate already passed, so the head is this very Dispatch —
+  // read the recorded expire-or-not flag instead of the clock. head_is
+  // failing here just means the run is about to diverge; commit will
+  // diagnose that, so stay conservative and don't fire.
+  std::uint64_t tid = 0;
+  std::uint64_t logged_b = 0;
+  return replay::active()->head_is(replay::EvKind::Dispatch,
+                                   replay::lane_actor(lane), &tid, nullptr,
+                                   &logged_b) &&
+         tid == t->id && (logged_b & replay::kDispatchDeadline) != 0;
 }
 
 void RealEngine::worker_loop(Worker& w) {
@@ -698,7 +577,7 @@ void RealEngine::worker_loop(Worker& w) {
         const auto verdict = cv_.wait_for(lk, std::chrono::milliseconds(500));
         if (verdict == std::cv_status::timeout && all_stuck()) {
           dump_flight("RealEngine: deadlock — all workers idle, no ready work",
-                      /*have_lock=*/true);
+                      /*sched_state_consistent=*/true);
           DFTH_CHECK_MSG(false, "deadlock: all threads blocked");
         }
       } else {
@@ -707,17 +586,8 @@ void RealEngine::worker_loop(Worker& w) {
       --idle_workers_;
       continue;
     }
-    t->state.store(ThreadState::Running, std::memory_order_relaxed);
-    t->quota =
-        static_cast<std::int64_t>(eff_quota_.load(std::memory_order_relaxed));
-    ++t->dispatches;
-    ++stats_.dispatches;
     progress_.fetch_add(1, std::memory_order_relaxed);
-    DFTH_TRACE_EMIT(w.id, obs::EvKind::Dispatch, t->id, t->dispatches);
-    [[maybe_unused]] const std::uint64_t cancel_b =
-        dispatch_cancel_flags(t, w.id, 0);
-    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
-                       ::dfth::replay::lane_actor(w.id), t->id, cancel_b);
+    grant_dispatch(t, w.id, 0);
     if (obs::Profiler* pr = obs::profiler()) {
       const std::uint64_t now = steady_now_ns();
       const std::uint64_t gap =
@@ -739,22 +609,11 @@ void RealEngine::worker_loop(Worker& w) {
         DFTH_REPLAY_GATE(::dfth::replay::lane_actor(w.id));
         {
           std::lock_guard<std::mutex> inner(mu_);
-          follow->state.store(ThreadState::Running, std::memory_order_relaxed);
-          follow->quota = static_cast<std::int64_t>(
-              eff_quota_.load(std::memory_order_relaxed));
-          ++follow->dispatches;
-          ++stats_.dispatches;
           progress_.fetch_add(1, std::memory_order_relaxed);
-          DFTH_TRACE_EMIT(w.id, obs::EvKind::Dispatch, follow->id,
-                          follow->dispatches);
           // kDispatchForkDive: a dive, not a queue-served pick — cross-replay
           // on the simulator excludes these (they re-happen on its own spawn
           // path).
-          [[maybe_unused]] const std::uint64_t dive_b = dispatch_cancel_flags(
-              follow, w.id, ::dfth::replay::kDispatchForkDive);
-          DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
-                             ::dfth::replay::lane_actor(w.id), follow->id,
-                             dive_b);
+          grant_dispatch(follow, w.id, ::dfth::replay::kDispatchForkDive);
         }
         if (obs::Profiler* pr = obs::profiler()) {
           pr->dispatch(follow->id, steady_now_ns() - dive_t0, 0);
@@ -771,44 +630,41 @@ void RealEngine::worker_loop(Worker& w) {
 
 // -- supervisor: timed-wait timers + stall watchdog -------------------------
 
+bool RealEngine::fire_sleeper(std::unique_lock<std::mutex>& lk, std::size_t i) {
+  const Sleeper s = sleepers_[i];
+  sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
+  firing_ = s.t;
+  lk.unlock();
+  // Losing the claim means a waker popped the fiber first; its wake() owns
+  // the resume and the timer loses quietly.
+  const bool claimed = claim_timeout(s, replay::kActorTimer);
+  if (claimed) {
+    DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
+    DFTH_REPLAY_GATE(::dfth::replay::kActorTimer);
+    std::lock_guard<std::mutex> g(mu_);
+    ++stats_.sync_timeouts;
+    s.t->state.store(ThreadState::Ready, std::memory_order_relaxed);
+    s.t->ready_at_ns = 0;
+    sched_->on_ready(s.t, 0);
+    progress_.fetch_add(1, std::memory_order_relaxed);
+    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutReady,
+                       ::dfth::replay::kActorTimer, s.t->id, 0);
+    cv_.notify_one();
+  }
+  lk.lock();
+  firing_ = nullptr;
+  sup_cv_.notify_all();
+  return claimed;
+}
+
 void RealEngine::fire_due_sleepers(std::unique_lock<std::mutex>& lk) {
-  // Called with lk (sup_mu_) held. The vector mutates while unlocked, so
-  // restart the scan after every fire; fired entries are gone, so it ends.
+  // The vector mutates while unlocked, so restart the scan after every
+  // fire; fired entries are gone, so it ends.
 restart:
   const std::uint64_t now = steady_now_ns();
   for (std::size_t i = 0; i < sleepers_.size(); ++i) {
     if (sleepers_[i].deadline_ns > now) continue;
-    const RtSleeper s = sleepers_[i];
-    sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
-    firing_ = s.t;
-    lk.unlock();
-    // Claim protocol: wait-list membership under the guard is the claim.
-    // Losing means a waker popped the fiber first; its wake() owns the
-    // resume and the timer loses quietly.
-    s.guard->lock();
-    const bool claimed = s.list->remove(s.t);
-    if (claimed) {
-      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutClaim,
-                         ::dfth::replay::kActorTimer, s.t->id, 0);
-    }
-    s.guard->unlock();
-    if (claimed) {
-      s.t->timed_out = true;
-      DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
-      DFTH_REPLAY_GATE(::dfth::replay::kActorTimer);
-      std::lock_guard<std::mutex> g(mu_);
-      ++stats_.sync_timeouts;
-      s.t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-      s.t->ready_at_ns = 0;
-      sched_->on_ready(s.t, 0);
-      progress_.fetch_add(1, std::memory_order_relaxed);
-      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutReady,
-                         ::dfth::replay::kActorTimer, s.t->id, 0);
-      cv_.notify_one();
-    }
-    lk.lock();
-    firing_ = nullptr;
-    sup_cv_.notify_all();
+    fire_sleeper(lk, i);
     goto restart;
   }
 }
@@ -829,34 +685,10 @@ restart:
   // alone and retry on the next supervisor poll.
   for (std::size_t i = 0; i < sleepers_.size(); ++i) {
     if (sleepers_[i].t->id != tid) continue;
-    const RtSleeper s = sleepers_[i];
-    sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
-    firing_ = s.t;
-    lk.unlock();
-    s.guard->lock();
-    const bool claimed = s.list->remove(s.t);
     // A waker cannot have popped the fiber first: its guard section is gated
     // behind this very record. Losing the claim anyway means the run
     // diverged from the log.
-    DFTH_CHECK_MSG(claimed, "replay: logged timeout claim lost its race");
-    rs->commit(replay::EvKind::TimeoutClaim, replay::kActorTimer, tid, 0);
-    s.guard->unlock();
-    s.t->timed_out = true;
-    DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
-    rs->gate(replay::kActorTimer);
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      ++stats_.sync_timeouts;
-      s.t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-      s.t->ready_at_ns = 0;
-      sched_->on_ready(s.t, 0);
-      progress_.fetch_add(1, std::memory_order_relaxed);
-      rs->commit(replay::EvKind::TimeoutReady, replay::kActorTimer, tid, 0);
-      cv_.notify_one();
-    }
-    lk.lock();
-    firing_ = nullptr;
-    sup_cv_.notify_all();
+    DFTH_CHECK_MSG(fire_sleeper(lk, i), "replay: logged timeout claim lost its race");
     goto restart;
   }
 }
@@ -874,7 +706,7 @@ void RealEngine::supervisor_loop() {
     // whichever is sooner; sleep unbounded when neither is armed.
     std::uint64_t nap_ns = kInf;
     const std::uint64_t now_ns = steady_now_ns();
-    for (const RtSleeper& s : sleepers_) {
+    for (const Sleeper& s : sleepers_) {
       nap_ns = std::min(nap_ns,
                         s.deadline_ns > now_ns ? s.deadline_ns - now_ns : 0);
     }
@@ -932,9 +764,17 @@ void RealEngine::supervisor_loop() {
           outstanding = live_ > 0 && !done_;
         }
         if (outstanding) {
+          // A wedged worker may hold mu_ forever; bound the wait, then dump
+          // the possibly-inconsistent snapshot anyway (flagged as such).
+          std::unique_lock<std::mutex> g(mu_, std::defer_lock);
+          bool locked = false;
+          for (int i = 0; i < 200 && !locked; ++i) {
+            locked = g.try_lock();
+            if (!locked) std::this_thread::sleep_for(milliseconds(5));
+          }
           dump_flight("RealEngine watchdog: no scheduler progress within the "
                       "stall deadline",
-                      /*have_lock=*/false);
+                      locked);
           DFTH_CHECK_MSG(false, "stall watchdog tripped");
         }
         lk.lock();
@@ -944,114 +784,53 @@ void RealEngine::supervisor_loop() {
   }
 }
 
-void RealEngine::dump_flight(const char* reason, bool have_lock) {
-  // A wedged worker may hold mu_ forever; bound the wait, then dump the
-  // possibly-inconsistent snapshot anyway (flagged as such).
-  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
-  bool locked = have_lock;
-  if (!have_lock) {
-    for (int i = 0; i < 200 && !locked; ++i) {
-      locked = lk.try_lock();
-      if (!locked) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
-  resil::FlightInfo info;
-  info.reason = reason;
-  info.engine = "real";
-  info.live_threads = live_;
-  info.sched_state_consistent = locked;
-  for (const Worker& w : workers_) info.lanes.push_back({w.id, w.current});
-  info.tcbs = &tcbs_;
-  info.sched = sched_.get();
-  info.tracer = obs::tracer();
-  if (auto* rs = replay::active()) {
-    if (rs->mode() == replay::Mode::Record) {
-      // Persist the schedule up to the abort so the hang itself replays.
-      rs->flush_partial();
-      info.record_log = rs->path();
-      info.replay_cmd = "tools/dfth-replay replay " + rs->path();
-    } else {
-      info.replay_log = rs->path();
-      info.replay_position = rs->position_summary();
-    }
-  }
-  resil::dump_flight_recorder(info, opts_.watchdog);
+std::vector<resil::FlightLane> RealEngine::flight_lanes() const {
+  std::vector<resil::FlightLane> lanes;
+  for (const Worker& w : workers_) lanes.push_back({w.id, w.current});
+  return lanes;
 }
 
 RunStats RealEngine::run(const std::function<void()>& main_fn) {
-  TrackedHeap::instance().begin_epoch();
   StackPool::instance().begin_epoch();
-  eff_quota_.store(opts_.mem_quota, std::memory_order_relaxed);
-
-  // Arm the fault injector for this run if the caller supplied a plan (no-op
-  // when faults are compiled out). Per-run fault stats are deltas so a
-  // harness that armed the injector itself still gets accurate counts.
-  auto& inj = resil::FaultInjector::instance();
-  const bool armed_here = resil::kFaultsEnabled && opts_.fault_plan != nullptr;
-  if (armed_here) inj.arm(*opts_.fault_plan);
-  const std::uint64_t injected0 = inj.injected_total();
-  const std::uint64_t recovered0 = inj.recovered_total();
-
+  // One trace lane per worker plus a shared "external" lane for bound
+  // threads and engine-external callers.
+  begin_run(opts_.nprocs + 1,
+            [t0 = steady_now_ns()] { return steady_now_ns() - t0; });
   std::thread sampler;
   std::atomic<bool> sampler_stop{false};
-  if (opts_.tracer) {
-    obs::detail::set_tracer(opts_.tracer);
-    // One lane per worker plus a shared "external" lane for bound threads
-    // and engine-external callers.
-    opts_.tracer->begin_run(
-        opts_.nprocs + 1,
-        [t0 = steady_now_ns()] { return steady_now_ns() - t0; });
-  }
-
-  if (opts_.profiler) {
-    opts_.profiler->begin_run();
-    obs::detail::set_profiler(opts_.profiler);
-  }
-
   Timer timer;
 
-  Tcb* main = make_tcb(
+  Tcb* main = make_fiber(
       [&main_fn]() -> void* {
         main_fn();
         return nullptr;
       },
       Attr{}, /*is_dummy=*/false);
-  main->is_main = true;
-  main->site_file = "<main>";
-  main->site_line = 0;
-  release_handle(main);  // nobody joins main
-  DFTH_RACE_FORK(main, nullptr);
-  DFTH_PROF_THREAD_START(main->id, 0, 0, main->site_file, main->site_line);
-  if (!main->stack) {
-    // No fiber stack for main even after the pool's heap fallback (or an
-    // injected ctx.create fault): run main bound on a dedicated kernel
-    // thread — the Solaris bound-thread escape hatch. Children it spawns
-    // still go through the scheduler as usual.
-    main->attr.bound = true;
-    DFTH_REPLAY_GATE(::dfth::replay::kActorHost);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      live_ = 1;
-      ++bound_live_;
-      stats_.threads_created = 1;
-      stats_.max_live_threads = 1;
-      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                         ::dfth::replay::kActorHost, main->id,
-                         ::dfth::replay::kSpawnBound);
-    }
-    start_bound_thread(main);
-  } else {
-    DFTH_REPLAY_GATE(::dfth::replay::kActorHost);
+  start_main(main);
+  // No fiber stack for main even after the pool's heap fallback (or an
+  // injected ctx.create fault): run main bound on a dedicated kernel thread
+  // — the Solaris bound-thread escape hatch. Children it spawns still go
+  // through the scheduler as usual.
+  const bool bound = !main->stack;
+  main->attr.bound = bound;
+  DFTH_REPLAY_GATE(::dfth::replay::kActorHost);
+  {
     std::lock_guard<std::mutex> lk(mu_);
-    sched_->register_thread(nullptr, main);
-    main->state.store(ThreadState::Ready, std::memory_order_relaxed);
-    sched_->on_ready(main, 0);
+    if (bound) {
+      ++bound_live_;
+    } else {
+      sched_->register_thread(nullptr, main);
+      main->state.store(ThreadState::Ready, std::memory_order_relaxed);
+      sched_->on_ready(main, 0);
+    }
     live_ = 1;
     stats_.threads_created = 1;
     stats_.max_live_threads = 1;
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                       ::dfth::replay::kActorHost, main->id, 0);
+                       ::dfth::replay::kActorHost, main->id,
+                       bound ? ::dfth::replay::kSpawnBound : 0);
   }
+  if (bound) start_bound_thread(main);
 
   // Resource-exhaustion degradation: losing workers only loses parallelism.
   // Worker 0 is exempt so the run is always able to make progress. The kept
@@ -1133,30 +912,11 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   stats_.stack_peak = StackPool::instance().peak_bytes();
   stats_.stacks_fresh = StackPool::instance().fresh_count();
   stats_.stacks_reused = StackPool::instance().reuse_count();
-  stats_.stack_high_water = StackPool::instance().high_water_bytes();
-  stats_.tcbs_allocated = tcbs_.allocated();
-  if (auto* ws = dynamic_cast<WorkStealScheduler*>(sched_->underlying())) {
-    stats_.steals = ws->steal_count();
-  }
-  if (auto* prs = dynamic_cast<replay::ReplayScheduler*>(sched_.get())) {
-    stats_.steals = prs->steal_count();
-  }
-
-  if (obs::Tracer* tr = obs::tracer()) {
+  if (sampler.joinable()) {
     sampler_stop.store(true, std::memory_order_release);
     sampler.join();
-    tr->end_run();
-    obs::detail::set_tracer(nullptr);
   }
-  if (opts_.profiler) {
-    opts_.profiler->end_run(stats_.elapsed_us, opts_.nprocs);
-    stats_.profile = opts_.profiler->stats();
-    obs::detail::set_profiler(nullptr);
-  }
-  stats_.faults_injected = inj.injected_total() - injected0;
-  stats_.faults_recovered = inj.recovered_total() - recovered0;
-  if (armed_here) inj.disarm();
-  return stats_;
+  return end_run();
 }
 
 }  // namespace dfth

@@ -93,7 +93,7 @@ struct RunStats {
   std::int64_t max_live_threads = 0;   ///< peak simultaneously-active threads
   std::uint64_t dispatches = 0;
   std::uint64_t quota_preemptions = 0;
-  std::uint64_t steals = 0;            ///< work stealing only
+  std::uint64_t steals = 0;            ///< WorkSteal and DFDeques only
   /// Control blocks the engine's TcbPool allocated: blocks are recycled, so
   /// this follows the threads alive at once, not threads_created.
   std::uint64_t tcbs_allocated = 0;

@@ -3,23 +3,14 @@
 #include <algorithm>
 #include <limits>
 
-#include "analyze/race_hooks.h"
-#include "core/worksteal_sched.h"
 #include "obs/counters.h"
 #include "obs/profile.h"
 #include "replay/hooks.h"
 #include "replay/log.h"
-#include "resil/faults.h"
-#include "resil/watchdog.h"
+#include "replay/replay_sched.h"
 #include "space/tracked_heap.h"
 #include "util/check.h"
 #include "util/log.h"
-
-#include "replay/replay_sched.h"
-
-#if DFTH_VALIDATE
-#include "analyze/auditor.h"
-#endif
 
 namespace dfth {
 namespace {
@@ -34,6 +25,19 @@ constexpr std::size_t kRealStackBytes = 128 << 10;
 constexpr std::size_t kRealMainStackBytes = 1 << 20;
 
 double ns_to_us(std::uint64_t ns) { return static_cast<double>(ns) * 1e-3; }
+
+// Cross-replay: map a recorded run's dispatch order onto virtual time. The
+// pinned scheduler carries the *logged* policy kind (its needs_quota answer
+// must match the run that produced the schedule), and is built directly so
+// AuditedScheduler never audits a pinned schedule against a policy it does
+// not implement.
+std::unique_ptr<Scheduler> cross_replay_scheduler() {
+  auto* rs = replay::active();
+  if (rs == nullptr || rs->mode() != replay::Mode::CrossReplay) return nullptr;
+  return std::make_unique<replay::ReplayScheduler>(
+      rs, static_cast<SchedKind>(rs->header().sched),
+      replay::ReplayScheduler::Pinning::Cross);
+}
 
 }  // namespace
 
@@ -59,29 +63,10 @@ bool SimEngine::LruCache::touch_block(std::uint32_t id) {
   return false;
 }
 
-SimEngine::SimEngine(const RuntimeOptions& opts) : opts_(opts) {
-  DFTH_CHECK(opts_.nprocs >= 1);
-  if (auto* rs = replay::active();
-      rs != nullptr && rs->mode() == replay::Mode::CrossReplay) {
-    // Cross-replay: map the recorded run's dispatch order onto virtual time.
-    // The pinned scheduler carries the *logged* policy kind (its needs_quota
-    // answer must match the run that produced the schedule), and is built
-    // directly so AuditedScheduler never audits a pinned schedule against a
-    // policy it does not implement.
-    sched_ = std::make_unique<replay::ReplayScheduler>(
-        rs, static_cast<SchedKind>(rs->header().sched),
-        replay::ReplayScheduler::Pinning::Cross);
-  }
-  if (!sched_) {
-    sched_ = make_scheduler(opts_.sched, opts_.nprocs, opts_.seed,
-                            opts_.cluster_size);
-  }
+SimEngine::SimEngine(const RuntimeOptions& opts)
+    : Engine(opts, cross_replay_scheduler(), &fiber_entry) {
   procs_.resize(static_cast<std::size_t>(opts_.nprocs));
   for (auto& vp : procs_) vp.cache.capacity = opts_.cost.cache_blocks;
-  eff_quota_ = opts_.mem_quota;
-  stats_.engine = EngineKind::Sim;
-  stats_.sched = opts_.sched;
-  stats_.nprocs = opts_.nprocs;
 }
 
 SimEngine::~SimEngine() { context_destroy(&loop_ctx_); }
@@ -94,26 +79,6 @@ void SimEngine::fiber_entry(void* arg) {
   self->charge(kThread, self->opts_.cost.exit_us);
   self->ev_ = Ev::Exit;
   context_switch_final(&t->ctx, &self->loop_ctx_);
-}
-
-Tcb* SimEngine::make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy) {
-  Tcb* t = tcbs_.acquire(next_tid_++);
-  t->attr = attr;
-  if (t->attr.stack_size == 0) t->attr.stack_size = opts_.default_stack_size;
-  DFTH_CHECK(t->attr.priority >= 0 && t->attr.priority < kNumPriorities);
-  t->entry = std::move(fn);
-  t->is_dummy = is_dummy;
-  t->stack = StackPool::instance().acquire(is_dummy ? (64 << 10) : kRealStackBytes);
-  if (t->stack && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kCtxCreate)) {
-    StackPool::instance().release(t->stack);
-    t->stack = Stack{};
-    // The inline-run fallback in spawn() is guaranteed to absorb this.
-    DFTH_FAULT_RECOVERED(resil::FaultSite::kCtxCreate);
-  }
-  if (t->stack) {
-    context_make(&t->ctx, t->stack.base, t->stack.top(), &fiber_entry, t);
-  }
-  return t;
 }
 
 void SimEngine::charge(Cat cat, double us) {
@@ -137,64 +102,28 @@ void SimEngine::switch_to_loop() {
 Tcb* SimEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
                       const char* site_file, int site_line) {
   DFTH_CHECK_MSG(in_fiber_, "spawn outside a thread");
-  Tcb* child = make_tcb(std::move(fn), attr, is_dummy);
-  child->parent = cur_;
-  // Deadline propagation: a child without its own cancellation scope joins
-  // the parent's, so a request's token covers the whole spawn subtree.
-  child->cancel = attr.cancel != nullptr ? attr.cancel : cur_->cancel;
-  child->site_file = site_file;
-  child->site_line = site_line;
-  DFTH_RACE_FORK(child, cur_);
-  if (Recorder* rec = active_recorder()) rec->on_thread_start(child->id, cur_->id);
-  DFTH_TRACE_EMIT(cur_proc_,
-                  is_dummy ? obs::EvKind::DummySpawn : obs::EvKind::Fork,
-                  cur_->id, child->id);
-  if (!child->stack) return run_inline(child);
-  ev_ = Ev::Spawn;
-  ev_child_ = child;
-  switch_to_loop();
-  return child;
-}
-
-Tcb* SimEngine::run_inline(Tcb* child) {
-  // Stack or context acquisition failed. Degrade by running the child to
-  // completion right here, on the parent's stack: the child precedes the
-  // parent's continuation in the serial depth-first order, so this is the
-  // 1-processor AsyncDF schedule — correct, just not parallel. The child is
-  // never registered with the scheduler and never gets its own fiber.
-  ++stats_.threads_created;
-  ++stats_.inline_runs;
-  if (child->is_dummy) ++stats_.dummy_threads;
-#if DFTH_VALIDATE
-  if (auto* aud = analyze::active_auditor()) aud->on_inline_run(cur_, child);
-#endif
+  // Sim's tids are its own loop order: allocating them logs nothing.
+  Tcb* child = make_tcb(std::move(fn), attr, is_dummy, next_tid_++,
+                        is_dummy ? (64 << 10) : kRealStackBytes);
+  link_child(child, cur_, site_file, site_line);
+  if (child->stack) {
+    ev_ = Ev::Spawn;
+    ev_child_ = child;
+    switch_to_loop();
+    return child;
+  }
+  count_inline_spawn(cur_, child);
   charge(kThread, opts_.cost.create_unbound_us);
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg, cur_->id, child->id,
                      ::dfth::replay::kSpawnInline);
   live_events_.emplace_back(vnow_ns(), +1);
-  child->state.store(ThreadState::Running, std::memory_order_relaxed);
-  ++child->dispatches;
-  DFTH_TRACE_EMIT(cur_proc_, obs::EvKind::Dispatch, child->id,
-                  child->dispatches);
-  // Profiler bookkeeping so fiber counts match: the child exists, but its
-  // body's charges accrue to the parent (serialized on the parent's span —
-  // exactly what running inline means), so its own span stays at the
-  // inherited fork-instant value.
+  // The child exists for the profiler, but its body's charges accrue to
+  // cur_ (the parent), so its own span stays at the fork-instant value.
   DFTH_PROF_THREAD_START(child->id, cur_->id, pend_total_ns(),
                          child->site_file, child->site_line);
-  // cur_ stays the parent: virtual cost and race segments accrued by the
-  // child's body are attributed to the parent, which is exactly what running
-  // on the parent's stack in its scheduling window means.
-  child->result = child->entry();
-  child->entry = nullptr;
+  run_inline(child);
   charge(kThread, opts_.cost.exit_us);
-  child->finished = true;
-  child->state.store(ThreadState::Done, std::memory_order_relaxed);
   live_events_.emplace_back(vnow_ns(), -1);
-  DFTH_TRACE_EMIT(cur_proc_, obs::EvKind::Exit, child->id, 0);
-  DFTH_PROF_EXIT(child->id, 0);
-  // No joiner can exist yet: the handle only becomes visible once we return.
-  tcbs_.release(child, Tcb::kExitRef);
   return child;
 }
 
@@ -240,13 +169,8 @@ void SimEngine::block_current(SpinLock* guard) {
 void SimEngine::block_current_timed(SpinLock* guard, WaitList* list,
                                     std::uint64_t timeout_ns) {
   DFTH_CHECK_MSG(in_fiber_, "timed block outside a thread");
-  DFTH_CHECK(cur_->state.load(std::memory_order_relaxed) == ThreadState::Blocked);
-  DFTH_CHECK_MSG(guard != nullptr && guard->is_locked(),
-                 "block_current_timed without holding the wait-list guard");
-  DFTH_CHECK(list != nullptr);
-  cur_->timed_out = false;
-  charge(kSync, opts_.cost.block_us);
-  sleepers_.push_back({vnow_ns() + timeout_ns, cur_, guard, list});
+  charge(kSync, opts_.cost.block_us);  // the deadline counts from after it
+  sleepers_.push_back(arm_timed_wait(cur_, guard, list, timeout_ns));
   ev_ = Ev::Block;
   ev_guard_ = guard;
   switch_to_loop();
@@ -255,31 +179,18 @@ void SimEngine::block_current_timed(SpinLock* guard, WaitList* list,
   cancel_sleeper(cur_);
 }
 
-void SimEngine::cancel_sleeper(Tcb* t) {
-  for (std::size_t i = 0; i < sleepers_.size(); ++i) {
-    if (sleepers_[i].t == t) {
-      sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
 void SimEngine::fire_due_sleepers(VProc& vp, int pid) {
   for (std::size_t i = 0; i < sleepers_.size();) {
     if (sleepers_[i].deadline_ns > vp.clock_ns) {
       ++i;
       continue;
     }
-    const SimSleeper s = sleepers_[i];
+    const Sleeper s = sleepers_[i];
     sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
-    // Claim protocol: membership in the wait list under its guard is the
-    // claim. If the waiter is no longer on the list, a waker popped it first
-    // and its wake() owns the resume; the timer loses quietly.
-    s.guard->lock();
-    const bool claimed = s.list->remove(s.t);
-    s.guard->unlock();
-    if (!claimed) continue;
-    s.t->timed_out = true;
+    // A lost claim means a waker popped the waiter first and its wake() owns
+    // the resume. One host thread: the claim order is the loop's own, so it
+    // is not logged.
+    if (!claim_timeout(s)) continue;
     ++stats_.sync_timeouts;
     DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Wake, vp.clock_ns, s.t->id, 0);
     sched_lock_acquire(vp, pid);
@@ -337,22 +248,13 @@ void SimEngine::on_free(std::size_t bytes) {
                          cur_ ? cur_->id : 0, bytes);
 }
 
-bool SimEngine::uses_alloc_quota() const { return sched_->needs_quota(); }
-
 bool SimEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   (void)bytes;
   // Treat heap exhaustion as quota exhaustion (AsyncDF-style): preempt,
-  // reinsert leftmost-ready, shrink the effective K so every later
-  // scheduling window admits fewer live allocations, back off, retry. A
-  // bounded number of attempts keeps a genuinely-unsatisfiable request from
-  // looping forever; df_try_malloc then surfaces DfStatus::kNoMem.
-  constexpr int kOomMaxAttempts = 16;
+  // reinsert leftmost-ready, shrink K, back off, retry — bounded, then
+  // df_try_malloc surfaces DfStatus::kNoMem.
   if (!in_fiber_ || attempt >= kOomMaxAttempts) return false;
-  ++stats_.oom_preemptions;
-#if DFTH_VALIDATE
-  if (auto* aud = analyze::active_auditor()) aud->on_oom_preempt(cur_);
-#endif
-  if (eff_quota_ > 0) eff_quota_ = std::max<std::size_t>(eff_quota_ / 2, 4096);
+  shrink_quota(cur_);
   // Exponential virtual backoff: later attempts wait longer for concurrent
   // frees to land.
   charge(kMem, opts_.cost.free_base_us *
@@ -423,49 +325,27 @@ void SimEngine::sim_stack_release(std::size_t bytes) {
 // -- the event loop --------------------------------------------------------
 
 RunStats SimEngine::run(const std::function<void()>& main_fn) {
-  TrackedHeap::instance().begin_epoch();
+  begin_run(opts_.nprocs, [this] { return vnow_ns(); });
   heap_initial_live_ = TrackedHeap::instance().live_bytes();
-  eff_quota_ = opts_.mem_quota;
-
-  // Arm the fault injector for this run if the caller supplied a plan (no-op
-  // when faults are compiled out). Per-run fault stats are deltas so a
-  // harness that armed the injector itself (and keeps it armed across runs)
-  // still gets accurate counts.
-  auto& inj = resil::FaultInjector::instance();
-  const bool armed_here = resil::kFaultsEnabled && opts_.fault_plan != nullptr;
-  if (armed_here) inj.arm(*opts_.fault_plan);
-  const std::uint64_t injected0 = inj.injected_total();
-  const std::uint64_t recovered0 = inj.recovered_total();
-
   if (opts_.tracer) {
-    obs::detail::set_tracer(opts_.tracer);
-    opts_.tracer->begin_run(opts_.nprocs, [this] { return vnow_ns(); });
     sample_interval_ns_ = opts_.tracer->config().sample_interval_ns;
     if (sample_interval_ns_ == 0) sample_interval_ns_ = 1000;  // 1 µs virtual
     next_sample_ns_ = 0;
   }
 
-  if (opts_.profiler) {
-    opts_.profiler->begin_run();
-    obs::detail::set_profiler(opts_.profiler);
-  }
-
-  Attr main_attr;
-  Tcb* main = tcbs_.acquire(next_tid_++);
-  main->attr = main_attr;
-  main->attr.stack_size = opts_.default_stack_size;
-  main->is_main = true;
-  main->entry = [&main_fn]() -> void* {
-    main_fn();
-    return nullptr;
-  };
+  Tcb* main = make_tcb(
+      [&main_fn]() -> void* {
+        main_fn();
+        return nullptr;
+      },
+      Attr{}, /*is_dummy=*/false, next_tid_++, /*stack_bytes=*/0);
+  // Main's stack skips the ctx.create fault site. It has no parent to run
+  // inline on: a null stack here means even the heap-backed fallback
+  // failed — the host is truly out of memory.
   main->stack = StackPool::instance().acquire(kRealMainStackBytes);
-  // The main fiber has no parent to run inline on: a null stack here means
-  // even the heap-backed fallback failed — the host is truly out of memory.
   DFTH_CHECK_MSG(main->stack, "out of memory acquiring the main fiber stack");
   context_make(&main->ctx, main->stack.base, main->stack.top(), &fiber_entry, main);
-  release_handle(main);  // nobody joins main
-  DFTH_RACE_FORK(main, nullptr);
+  start_main(main);
 
   live_ = 1;
   stats_.threads_created = 1;
@@ -480,9 +360,6 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   main->state.store(ThreadState::Ready, std::memory_order_relaxed);
   main->ready_at_ns = 0;
   sched_->on_ready(main, 0);
-  main->site_file = "<main>";
-  main->site_line = 0;
-  DFTH_PROF_THREAD_START(main->id, 0, 0, main->site_file, main->site_line);
 
   sim_loop();
 
@@ -526,23 +403,8 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
     stats_.heap_peak = std::max(stats_.heap_peak, heap_level);
   }
   stats_.stack_peak = sim_stack_peak_;
-  // Real stacks back the simulated fibers too, so the watermark is
-  // meaningful even under the Sim engine.
-  stats_.stack_high_water = StackPool::instance().high_water_bytes();
-  stats_.tcbs_allocated = tcbs_.allocated();
-  if (auto* ws = dynamic_cast<WorkStealScheduler*>(sched_->underlying())) {
-    stats_.steals = ws->steal_count();
-  }
   finish_trace(completion);
-  if (opts_.profiler) {
-    opts_.profiler->end_run(stats_.elapsed_us, opts_.nprocs);
-    stats_.profile = opts_.profiler->stats();
-    obs::detail::set_profiler(nullptr);
-  }
-  stats_.faults_injected = inj.injected_total() - injected0;
-  stats_.faults_recovered = inj.recovered_total() - recovered0;
-  if (armed_here) inj.disarm();
-  return stats_;
+  return end_run();
 }
 
 void SimEngine::finish_trace(std::uint64_t completion_ns) {
@@ -575,8 +437,6 @@ void SimEngine::finish_trace(std::uint64_t completion_ns) {
     s.heap_bytes = heap_level;
     tr->add_sample(s);
   }
-  tr->end_run();
-  obs::detail::set_tracer(nullptr);
 }
 
 void SimEngine::maybe_sample(std::uint64_t now_ns) {
@@ -624,7 +484,7 @@ void SimEngine::sim_loop() {
         }
       }
       if (vp.clock_ns > hb_base_ns && vp.clock_ns - hb_base_ns > wd_deadline) {
-        dump_flight("SimEngine watchdog: virtual-time deadline exceeded");
+        dump_flight("SimEngine watchdog: virtual-time deadline exceeded", true);
         DFTH_CHECK_MSG(false, "virtual-time stall watchdog tripped");
       }
     }
@@ -680,8 +540,6 @@ void SimEngine::apply_pending(VProc& vp) {
   for (auto& p : pend_ns_) p = 0;
 }
 
-void SimEngine::sched_lock_acquire(VProc& vp) { sched_lock_acquire(vp, 0); }
-
 void SimEngine::sched_lock_acquire(VProc& vp, int proc) {
   // The scheduler's global queue is serialized by one lock (paper §6). The
   // lock is busy only *during* queue operations, so a processor is made to
@@ -715,24 +573,6 @@ void SimEngine::make_ready(VProc& vp, int pid, Tcb* t) {
   sched_->on_ready(t, pid);
 }
 
-std::uint64_t SimEngine::expire_on_dispatch(Tcb* t, int pid,
-                                            std::uint64_t now) {
-  CancelToken* c = t->cancel;
-  if (c == nullptr || c->deadline_ns == 0 || c->is_cancelled() ||
-      now < c->deadline_ns) {
-    return 0;
-  }
-  // Virtual time makes this decision deterministic, so no replay pinning is
-  // needed here — the flag still lands in the Dispatch record so Real
-  // replays of the same format stay uniform and tools see it.
-  c->cancel();
-  ++stats_.deadline_expirations;
-  DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Preempt, now, t->id,
-                     obs::kPreemptDeadline);
-  DFTH_REPLAY_CANCEL_FIRE(pid, t->id);
-  return ::dfth::replay::kDispatchDeadline;
-}
-
 void SimEngine::attempt_dispatch(VProc& vp, int pid) {
   // Keep the loop clock fresh: schedulers emit Steal events from inside
   // pick_next through the tracer clock, which reads loop_now_ns_ here.
@@ -747,18 +587,10 @@ void SimEngine::attempt_dispatch(VProc& vp, int pid) {
     sched_lock_acquire(vp, pid);
     vp.clock_ns += us_to_ns(opts_.cost.ctx_switch_us);
     vp.bd.thread_us += opts_.cost.ctx_switch_us;
-    t->state.store(ThreadState::Running, std::memory_order_relaxed);
-    t->quota = static_cast<std::int64_t>(eff_quota_);
-    ++t->dispatches;
-    ++stats_.dispatches;
-    DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Dispatch, vp.clock_ns, t->id,
-                       t->dispatches);
-    // Outside the commit macro: the deadline check must run even when the
-    // build has no replay layer.
-    [[maybe_unused]] const std::uint64_t cancel_b =
-        expire_on_dispatch(t, pid, vp.clock_ns);
-    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
-                       ::dfth::replay::lane_actor(pid), t->id, cancel_b);
+    // The tracer and the deadline rule read the loop clock. Virtual time
+    // makes the deadline decision deterministic, so it needs no pinning.
+    loop_now_ns_ = vp.clock_ns;
+    grant_dispatch(t, pid, 0);
     // The lane's accumulated idle time is this dispatch's gap; it burdens
     // the fiber (an ideal scheduler would have run it sooner) and must be
     // consumed whether or not a profiler is installed.
@@ -774,7 +606,7 @@ void SimEngine::attempt_dispatch(VProc& vp, int pid) {
   // clock of a processor that holds a fiber (its next event may wake/spawn
   // work).
   std::uint64_t horizon = earliest;
-  for (const SimSleeper& s : sleepers_) {
+  for (const Sleeper& s : sleepers_) {
     horizon = std::min(horizon, s.deadline_ns);
   }
   for (const auto& other : procs_) {
@@ -822,22 +654,13 @@ void SimEngine::handle_event(VProc& vp, int pid) {
         make_ready(vp, pid, parent);
         DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Preempt, vp.clock_ns, parent->id,
                            obs::kPreemptForkDive);
-        child->state.store(ThreadState::Running, std::memory_order_relaxed);
         child->ready_at_ns = vp.clock_ns;
-        child->quota = static_cast<std::int64_t>(eff_quota_);
-        ++child->dispatches;
-        ++stats_.dispatches;
         vp.running = child;
         vp.clock_ns += us_to_ns(opts_.cost.ctx_switch_us);
         vp.bd.thread_us += opts_.cost.ctx_switch_us;
-        DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Dispatch, vp.clock_ns, child->id,
-                           child->dispatches);
+        loop_now_ns_ = vp.clock_ns;
+        grant_dispatch(child, pid, ::dfth::replay::kDispatchForkDive);
         DFTH_PROF_DISPATCH(child->id, us_to_ns(opts_.cost.ctx_switch_us), 0);
-        [[maybe_unused]] const std::uint64_t cancel_b =
-            expire_on_dispatch(child, pid, vp.clock_ns);
-        DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
-                           ::dfth::replay::lane_actor(pid), child->id,
-                           ::dfth::replay::kDispatchForkDive | cancel_b);
       } else {
         // FIFO / LIFO: the child waits its turn; the parent continues.
         child->state.store(ThreadState::Ready, std::memory_order_relaxed);
@@ -849,9 +672,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
 
     case Ev::Exit: {
       Tcb* t = vp.running;
-#if DFTH_VALIDATE
-      if (auto* aud = analyze::active_auditor()) aud->on_exit(t);
-#endif
+      audit_exit(t);
       const std::uint64_t exit_t0 = vp.clock_ns;
       sched_lock_acquire(vp, pid);
       sched_->unregister_thread(t);
@@ -918,35 +739,18 @@ void SimEngine::handle_event(VProc& vp, int pid) {
   }
 }
 
-void SimEngine::dump_flight(const char* reason) {
-  resil::FlightInfo info;
-  info.reason = reason;
-  info.engine = "sim";
-  info.live_threads = live_;
-  // Single host thread: the snapshot is exact, no locks involved.
-  info.sched_state_consistent = true;
+std::vector<resil::FlightLane> SimEngine::flight_lanes() const {
+  std::vector<resil::FlightLane> lanes;
   for (int i = 0; i < static_cast<int>(procs_.size()); ++i) {
-    info.lanes.push_back({i, procs_[static_cast<std::size_t>(i)].running});
+    lanes.push_back({i, procs_[static_cast<std::size_t>(i)].running});
   }
-  info.tcbs = &tcbs_;
-  info.sched = sched_.get();
-  info.tracer = obs::tracer();
-  if (auto* rs = replay::active()) {
-    if (rs->mode() == replay::Mode::Record) {
-      rs->flush_partial();
-      info.record_log = rs->path();
-      info.replay_cmd = "tools/dfth-replay replay " + rs->path();
-    } else {
-      info.replay_log = rs->path();
-      info.replay_position = rs->position_summary();
-    }
-  }
-  resil::dump_flight_recorder(info, opts_.watchdog);
+  return lanes;
 }
 
 void SimEngine::report_deadlock() {
-  // The dump's thread section lists every thread that has not exited.
-  dump_flight("SimEngine: deadlock — live threads but none runnable");
+  // The dump's thread section lists every thread that has not exited. One
+  // host thread: the snapshot is exact.
+  dump_flight("SimEngine: deadlock — live threads but none runnable", true);
   DFTH_LOG_ERROR("dfth: DEADLOCK — %lld live threads, none runnable",
                  static_cast<long long>(live_));
   DFTH_CHECK_MSG(false, "deadlock detected in simulation");

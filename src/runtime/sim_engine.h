@@ -1,13 +1,15 @@
 // SimEngine: a deterministic discrete-event simulation of a p-processor
 // shared-memory machine executing the user's real threaded code.
 //
-// Why it exists: the reproduction host has one CPU, so the paper's speedup
-// and memory-vs-processors curves cannot be measured in wall-clock time.
-// Every one of those measurements, however, is a function of the *schedule*
-// — which thread runs where and when, how many threads are simultaneously
-// live, and how much memory the resulting interleaving keeps allocated.
-// SimEngine reproduces the schedule exactly: fibers execute their real code
-// on the single host CPU, virtual processors carry virtual clocks, and the
+// Why it exists: the paper's speedup and memory-vs-processors curves run to
+// more processors than the 4-core host has, and its figures are in the
+// Solaris SMP's time, not the host's. Every one of those measurements,
+// however, is a function of the *schedule* — which thread runs where and
+// when, how many threads are simultaneously live, and how much memory the
+// resulting interleaving keeps allocated. SimEngine reproduces the schedule
+// exactly: fibers execute their real code on one host thread, virtual
+// processors carry virtual clocks (RealEngine is the one timed on the host's
+// cores), and the
 // pluggable Scheduler is consulted with the same lock-serialized discipline
 // as the Solaris library. Costs come from CostModel (calibrated to the
 // paper's Figure 3); determinism comes from integer nanosecond clocks and
@@ -56,10 +58,6 @@ class SimEngine final : public Engine {
   std::uint64_t now_ns() const override { return vnow_ns(); }
   void on_alloc(std::size_t bytes, std::int64_t fresh_bytes) override;
   void on_free(std::size_t bytes) override;
-  bool uses_alloc_quota() const override;
-  /// The *effective* quota: starts at opts.mem_quota and shrinks when OOM
-  /// recovery degrades the run toward serial order (on_alloc_failed).
-  std::size_t quota_bytes() const override { return eff_quota_; }
   bool on_alloc_failed(std::size_t bytes, int attempt) override;
   void add_work(std::uint64_t ops) override;
   void touch(const std::uint32_t* block_ids, std::size_t count) override;
@@ -97,22 +95,10 @@ class SimEngine final : public Engine {
     std::uint64_t pending_gap_ns = 0;
   };
 
-  /// A timed wait's timer entry: fires at deadline_ns unless the waiter was
-  /// claimed (popped from `list` under `guard`) by a waker first.
-  struct SimSleeper {
-    std::uint64_t deadline_ns = 0;
-    Tcb* t = nullptr;
-    SpinLock* guard = nullptr;
-    WaitList* list = nullptr;
-  };
-
   static void fiber_entry(void* arg);
 
-  Tcb* make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy);
-  /// Degraded spawn: no stack/context could be acquired, so the child runs
-  /// to completion right here on the parent's stack (legal: that is the
-  /// serial depth-first order).
-  Tcb* run_inline(Tcb* child);
+  int lane() const override { return cur_proc_ >= 0 ? cur_proc_ : 0; }
+  std::vector<resil::FlightLane> flight_lanes() const override;
   void charge(Cat cat, double us);
   std::uint64_t vnow_ns() const;
   /// Sum of the not-yet-applied fiber charges: the profiler's span edges
@@ -122,27 +108,17 @@ class SimEngine final : public Engine {
   }
   void switch_to_loop();
   void fire_due_sleepers(VProc& vp, int pid);
-  void cancel_sleeper(Tcb* t);
-  /// Best-effort crash dump through resil::dump_flight_recorder.
-  void dump_flight(const char* reason);
 
   void sim_loop();
   int pick_proc() const;
   void apply_pending(VProc& vp);
   void attempt_dispatch(VProc& vp, int pid);
   void handle_event(VProc& vp, int pid);
-  void sched_lock_acquire(VProc& vp);  ///< domain-0 convenience overload
   /// Serializes queue ops within the scheduler's lock domain for `proc`,
   /// charging lock wait to vp (paper §6: the global list's lock; the
   /// clustered scheduler gets one lock per SMP).
   void sched_lock_acquire(VProc& vp, int proc);
   void make_ready(VProc& vp, int pid, Tcb* t);
-  /// Deadline check at a dispatch: fires `t`'s cancel token (once per token)
-  /// when the virtual clock has passed its deadline, and returns the
-  /// kDispatchDeadline flag to fold into the Dispatch record's `b`.
-  /// Cooperative — the fiber still runs; its body polls
-  /// dfth::cancel_requested() and drains.
-  std::uint64_t expire_on_dispatch(Tcb* t, int pid, std::uint64_t now);
   [[noreturn]] void report_deadlock();
 
   // Simulated stack pool (Solaris stack caching): maps simulated stack size
@@ -155,8 +131,6 @@ class SimEngine final : public Engine {
   void maybe_sample(std::uint64_t now_ns);
   void finish_trace(std::uint64_t completion_ns);
 
-  RuntimeOptions opts_;
-  std::unique_ptr<Scheduler> sched_;
   std::vector<VProc> procs_;
   Context loop_ctx_;
 
@@ -166,10 +140,7 @@ class SimEngine final : public Engine {
   std::uint64_t loop_now_ns_ = 0;  ///< vnow while handling events in the loop
 
   std::vector<std::uint64_t> lock_free_ns_;  ///< per-domain lock availability
-  std::int64_t live_ = 0;
   std::uint64_t next_tid_ = 1;
-  std::size_t eff_quota_ = 0;          ///< effective K (shrinks on OOM recovery)
-  std::vector<SimSleeper> sleepers_;   ///< armed timed-wait timers
 
   std::uint64_t pend_ns_[kNumCats] = {0, 0, 0, 0};
   Ev ev_ = Ev::None;
@@ -201,8 +172,6 @@ class SimEngine final : public Engine {
   std::int64_t sim_stack_pooled_ = 0;
   std::int64_t sim_stack_peak_ = 0;
   std::int64_t sim_stack_touched_ = 0;  ///< resident stack bytes (pressure)
-
-  RunStats stats_;
 };
 
 }  // namespace dfth

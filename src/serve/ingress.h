@@ -6,7 +6,8 @@
 // when the ring is full it returns false immediately and the caller sheds
 // or retries with backoff. Nothing ever blocks inside the ring, so it is
 // safe to call from fibers on the SimEngine (where a spin would deadlock
-// the single host CPU) and from concurrent workers on the RealEngine.
+// the one host thread that runs every fiber) and from concurrent workers on
+// the RealEngine.
 //
 // Each cell carries a sequence number with the classic invariant:
 //   seq == index            -> cell is free, a producer may claim it

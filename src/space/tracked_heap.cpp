@@ -34,10 +34,9 @@ bool header_readable(const Header* header) {
 #endif
 }
 
-// Largest request worth handing to malloc: one that fits, with its header,
-// in the host's physical memory. A larger one can never be met, and the
-// sanitizer allocators abort on such sizes instead of returning null.
-std::size_t max_request_bytes() {
+}  // namespace
+
+std::size_t TrackedHeap::max_request_bytes() {
   static const std::size_t limit = [] {
     const long pages = sysconf(_SC_PHYS_PAGES);
     const long page_size = sysconf(_SC_PAGE_SIZE);
@@ -52,8 +51,6 @@ std::size_t max_request_bytes() {
   }();
   return limit;
 }
-
-}  // namespace
 
 // -- ShadowTable --------------------------------------------------------------
 

@@ -89,6 +89,12 @@ class TrackedHeap {
   /// Size recorded for an allocate()d pointer.
   static std::size_t allocated_size(const void* p);
 
+  /// Largest request worth handing to malloc: one that fits, with its
+  /// header, in the host's physical memory. A larger one can never be met
+  /// (and the sanitizer allocators abort on such sizes instead of returning
+  /// null), so allocate_ex refuses it outright.
+  static std::size_t max_request_bytes();
+
   std::int64_t live_bytes() const { return live_.load(std::memory_order_relaxed); }
   std::int64_t peak_bytes() const { return peak_.load(std::memory_order_relaxed); }
   std::uint64_t alloc_count() const { return allocs_.load(std::memory_order_relaxed); }

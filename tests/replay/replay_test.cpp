@@ -137,6 +137,34 @@ TEST(ReplayDeterminism, SpawnTreeStatsAndLogStable) {
   std::remove(path.c_str());
 }
 
+// The deque policies count steals, and a pinned replay reproduces the count
+// from the log's Steal annotations (one per steal the recording made).
+TEST(ReplayDeterminism, DfDequesStealsReplay) {
+  const std::string path = temp_path("dfdeques");
+  RuntimeOptions o = real_opts();
+  o.sched = SchedKind::DfDeques;
+  o.record_path = path;
+  const RunStats rec = run_tree(o);
+
+  replay::LoadedLog log;
+  std::string error;
+  ASSERT_TRUE(replay::load_log(path, &log, &error)) << error;
+  const auto logged_steals = static_cast<std::uint64_t>(std::count_if(
+      log.annotations.begin(), log.annotations.end(), [](const replay::Record& r) {
+        return r.kind == static_cast<std::uint16_t>(replay::EvKind::Steal);
+      }));
+  EXPECT_EQ(rec.steals, logged_steals);
+
+  RuntimeOptions r = real_opts();
+  r.sched = SchedKind::DfDeques;
+  r.replay_path = path;
+  const RunStats rep = run_tree(r);
+  EXPECT_EQ(rep.steals, rec.steals);
+  EXPECT_EQ(replay::determinism_signature(rec),
+            replay::determinism_signature(rep));
+  std::remove(path.c_str());
+}
+
 TEST(ReplayDeterminism, CrossReplayOnSimCompletes) {
   const std::string path = temp_path("cross");
   RuntimeOptions o = real_opts();

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/trace.h"
 #include "runtime/api.h"
 #include "runtime/sync.h"
 
@@ -101,6 +102,17 @@ TEST(SimEngine, WorkStealingDeterministicWithSeed) {
   const RunStats b = once(7);
   EXPECT_DOUBLE_EQ(a.elapsed_us, b.elapsed_us);
   EXPECT_EQ(a.steals, b.steals);
+}
+
+// Every deque policy reports its steals: RunStats::steals is the count the
+// scheduler itself kept, which the Steals counter mirrors at each steal.
+TEST(SimEngine, DfDequesStealsReachRunStats) {
+  obs::Tracer tracer;
+  RuntimeOptions o = sim_opts(SchedKind::DfDeques, 4);
+  o.tracer = &tracer;
+  const RunStats stats = run(o, [] { figure1_tree(6); });
+  EXPECT_GT(stats.steals, 0u);
+  EXPECT_EQ(stats.steals, tracer.counter(obs::Counter::Steals));
 }
 
 // Brent's bound for greedy schedulers: T1/p <= Tp and Tp <= T1/p + T_inf
