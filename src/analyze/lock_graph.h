@@ -11,9 +11,9 @@
 // any schedule that merely exercises both paths.
 //
 // The graph is cumulative across the run (edges are never removed on
-// release) and keyed by lock address. Hooks are compiled into
-// runtime/sync.cpp only under -DDFTH_VALIDATE=ON; the class itself is
-// always built so unit tests can drive it directly.
+// release) and keyed by lock address. The runtime feeds it through the
+// edge spine (runtime/edges.h) only under -DDFTH_VALIDATE=ON; the class
+// itself is always built so unit tests can drive it directly.
 #pragma once
 
 #include <cstdint>

@@ -32,9 +32,10 @@
 // Reports speak the paper's vocabulary: both access sites, the fiber ids,
 // and the serial-order (order-list) positions of the racing segments, so
 // "these two segments are unordered in the depth-first serial order" reads
-// directly off the report. Hooks compile in under -DDFTH_RACE=ON
-// (composable with -DDFTH_VALIDATE); the class itself is always built and
-// instantiable so unit tests can drive it directly, mirroring LockGraph.
+// directly off the report. The runtime feeds it through the edge spine
+// (runtime/edges.h) under -DDFTH_RACE=ON (composable with -DDFTH_VALIDATE);
+// the class itself is always built and instantiable so unit tests can drive
+// it directly, mirroring LockGraph.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "obs/counters.h"
+#include "runtime/edges.h"
 #include "util/check.h"
 
 namespace dfth {
@@ -35,7 +35,7 @@ void AsyncDfScheduler::on_ready(Tcb* t, int proc) {
   DFTH_DCHECK(t->order.linked());
   DFTH_DCHECK(t->state.load(std::memory_order_relaxed) == ThreadState::Ready);
   ++ready_;
-  DFTH_COUNT(obs::Counter::ReadyPushes);
+  edges::on_ready_push();
 }
 
 Tcb* AsyncDfScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) {
@@ -49,8 +49,7 @@ Tcb* AsyncDfScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* ear
       if (t->state.load(std::memory_order_relaxed) != ThreadState::Ready) continue;
       if (t->ready_at_ns <= now) {
         --ready_;
-        DFTH_COUNT(obs::Counter::ReadyPops);
-        DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
+        edges::on_ready_pop(t, now);
         return t;  // leftmost ready thread at the highest non-empty level
       }
       if (t->ready_at_ns < *earliest) *earliest = t->ready_at_ns;

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "obs/counters.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
-#include "replay/hooks.h"
+#include "runtime/edges.h"
 #include "util/check.h"
 
 namespace dfth {
@@ -38,7 +35,7 @@ void ClusteredAdfScheduler::on_ready(Tcb* t, int proc) {
   DFTH_DCHECK(t->order.linked());
   DFTH_DCHECK(t->state.load(std::memory_order_relaxed) == ThreadState::Ready);
   ++ready_;
-  DFTH_COUNT(obs::Counter::ReadyPushes);
+  edges::on_ready_push();
 }
 
 Tcb* ClusteredAdfScheduler::scan(int cluster, std::uint64_t now,
@@ -61,8 +58,7 @@ Tcb* ClusteredAdfScheduler::pick_next(int proc, std::uint64_t now,
                             static_cast<int>(lists_.size()) - 1);
   if (Tcb* t = scan(home, now, earliest)) {
     --ready_;
-    DFTH_COUNT(obs::Counter::ReadyPops);
-    DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
+    edges::on_ready_pop(t, now);
     return t;
   }
   // "Threads would be moved between SMPs only when required": the home
@@ -79,17 +75,7 @@ Tcb* ClusteredAdfScheduler::pick_next(int proc, std::uint64_t now,
       t->home_proc = home;
       ++migrations_;
       --ready_;
-      DFTH_COUNT(obs::Counter::ReadyPops);
-      DFTH_COUNT(obs::Counter::Steals);
-      DFTH_TRACE_EMIT(proc, obs::EvKind::Steal, t->id,
-                      static_cast<std::uint64_t>(victim));
-      DFTH_REPLAY_STEAL(proc, t->id, static_cast<std::uint64_t>(victim));
-      DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
-      DFTH_HIST_WAIT(obs::Hist::StealLatencyNs, now, t->ready_at_ns);
-      if (now != std::numeric_limits<std::uint64_t>::max() &&
-          now >= t->ready_at_ns) {
-        DFTH_PROF_STEAL(t->id, now - t->ready_at_ns);
-      }
+      edges::on_steal(proc, t, static_cast<std::uint64_t>(victim), now);
       return t;
     }
   }

@@ -2,10 +2,7 @@
 
 #include <limits>
 
-#include "obs/counters.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
-#include "replay/hooks.h"
+#include "runtime/edges.h"
 #include "util/check.h"
 
 namespace dfth {
@@ -35,7 +32,7 @@ void DfDequesScheduler::on_ready(Tcb* t, int proc) {
   t->home_proc = dq.owner;
   dq.threads.push_back(t);  // back == top (owner's LIFO end)
   ++ready_;
-  DFTH_COUNT(obs::Counter::ReadyPushes);
+  edges::on_ready_push();
 }
 
 Tcb* DfDequesScheduler::take(Deque& dq, bool from_top, std::uint64_t now,
@@ -71,8 +68,7 @@ Tcb* DfDequesScheduler::pick_next(int proc, std::uint64_t now,
 
   // Own deque first, newest thread first: the locality path.
   if (Tcb* t = take(own, /*from_top=*/true, now, earliest)) {
-    DFTH_COUNT(obs::Counter::ReadyPops);
-    DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
+    edges::on_ready_pop(t, now);
     return t;
   }
 
@@ -84,17 +80,7 @@ Tcb* DfDequesScheduler::pick_next(int proc, std::uint64_t now,
     if (victim == &own) continue;
     if (Tcb* t = take(*victim, /*from_top=*/false, now, earliest)) {
       ++steals_;
-      DFTH_COUNT(obs::Counter::ReadyPops);
-      DFTH_COUNT(obs::Counter::Steals);
-      DFTH_TRACE_EMIT(proc, obs::EvKind::Steal, t->id,
-                      static_cast<std::uint64_t>(victim->owner));
-      DFTH_REPLAY_STEAL(proc, t->id, static_cast<std::uint64_t>(victim->owner));
-      DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
-      DFTH_HIST_WAIT(obs::Hist::StealLatencyNs, now, t->ready_at_ns);
-      if (now != std::numeric_limits<std::uint64_t>::max() &&
-          now >= t->ready_at_ns) {
-        DFTH_PROF_STEAL(t->id, now - t->ready_at_ns);
-      }
+      edges::on_steal(proc, t, static_cast<std::uint64_t>(victim->owner), now);
       // Reposition the thief's deque right of the victim so work spawned
       // from the stolen thread keeps its serial-order neighborhood.
       order_.erase(&own.order);

@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "obs/counters.h"
+#include "runtime/edges.h"
 #include "util/check.h"
 
 namespace dfth {
@@ -24,7 +24,7 @@ void FifoScheduler::on_ready(Tcb* t, int proc) {
   }
   q.tail = t;
   ++ready_;
-  DFTH_COUNT(obs::Counter::ReadyPushes);
+  edges::on_ready_push();
 }
 
 Tcb* FifoScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) {
@@ -43,8 +43,7 @@ Tcb* FifoScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* earlie
         if (q.tail == t) q.tail = prev;
         t->sched_next = nullptr;
         --ready_;
-        DFTH_COUNT(obs::Counter::ReadyPops);
-        DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
+        edges::on_ready_pop(t, now);
         return t;
       }
       if (t->ready_at_ns < *earliest) *earliest = t->ready_at_ns;

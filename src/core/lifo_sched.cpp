@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "obs/counters.h"
+#include "runtime/edges.h"
 #include "util/check.h"
 
 namespace dfth {
@@ -19,7 +19,7 @@ void LifoScheduler::on_ready(Tcb* t, int proc) {
   t->sched_next = top;
   top = t;
   ++ready_;
-  DFTH_COUNT(obs::Counter::ReadyPushes);
+  edges::on_ready_push();
 }
 
 Tcb* LifoScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) {
@@ -32,8 +32,7 @@ Tcb* LifoScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* earlie
         *link = t->sched_next;
         t->sched_next = nullptr;
         --ready_;
-        DFTH_COUNT(obs::Counter::ReadyPops);
-        DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
+        edges::on_ready_pop(t, now);
         return t;
       }
       if (t->ready_at_ns < *earliest) *earliest = t->ready_at_ns;

@@ -2,10 +2,7 @@
 
 #include <limits>
 
-#include "obs/counters.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
-#include "replay/hooks.h"
+#include "runtime/edges.h"
 #include "util/check.h"
 
 namespace dfth {
@@ -26,7 +23,7 @@ void WorkStealScheduler::on_ready(Tcb* t, int proc) {
   t->home_proc = static_cast<int>(idx);
   deques_[idx].push_back(t);  // back == top (owner end)
   ++ready_;
-  DFTH_COUNT(obs::Counter::ReadyPushes);
+  edges::on_ready_push();
 }
 
 Tcb* WorkStealScheduler::take(std::deque<Tcb*>& dq, bool from_top, std::uint64_t now,
@@ -63,8 +60,7 @@ Tcb* WorkStealScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* e
 
   // Own deque first, owner end.
   if (Tcb* t = take(deques_[self], /*from_top=*/true, now, earliest)) {
-    DFTH_COUNT(obs::Counter::ReadyPops);
-    DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
+    edges::on_ready_pop(t, now);
     return t;
   }
 
@@ -76,18 +72,7 @@ Tcb* WorkStealScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* e
       if (victim == self) continue;
       if (Tcb* t = take(deques_[victim], /*from_top=*/false, now, earliest)) {
         ++steals_;
-        DFTH_COUNT(obs::Counter::ReadyPops);
-        DFTH_COUNT(obs::Counter::Steals);
-        DFTH_TRACE_EMIT(proc, obs::EvKind::Steal, t->id, victim);
-        DFTH_REPLAY_STEAL(proc, t->id, static_cast<std::uint64_t>(victim));
-        DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
-        DFTH_HIST_WAIT(obs::Hist::StealLatencyNs, now, t->ready_at_ns);
-        // The steal latency burdens the stolen thread's critical path: an
-        // ideal scheduler would have run it the instant it became ready.
-        if (now != std::numeric_limits<std::uint64_t>::max() &&
-            now >= t->ready_at_ns) {
-          DFTH_PROF_STEAL(t->id, now - t->ready_at_ns);
-        }
+        edges::on_steal(proc, t, static_cast<std::uint64_t>(victim), now);
         return t;
       }
     }

@@ -3,11 +3,6 @@
 #include "util/check.h"
 
 namespace dfth {
-namespace {
-Recorder* g_recorder = nullptr;
-}
-
-Recorder* active_recorder() { return g_recorder; }
 
 namespace detail {
 void set_recorder(Recorder* r) { g_recorder = r; }

@@ -78,10 +78,13 @@ class Recorder {
   std::vector<std::int64_t> tid_to_index_;
 };
 
-/// Recorder attached to the active run (nullptr when record_graph is off).
-Recorder* active_recorder();
 namespace detail {
+inline constinit Recorder* g_recorder = nullptr;
 void set_recorder(Recorder* r);
-}
+}  // namespace detail
+
+/// Recorder attached to the active run (nullptr when record_graph is off).
+/// Inline, so the edge spine's recorder gate is one load and a branch.
+inline Recorder* active_recorder() { return detail::g_recorder; }
 
 }  // namespace dfth

@@ -44,10 +44,11 @@
 //     "semicolon-stack value" format speedscope and flamegraph.pl load.
 //
 // Cost discipline mirrors obs/trace.h: every build compiles the profiler
-// in, and every hook goes through a DFTH_PROF_* macro that, with no
-// Profiler installed, is one load of the inline profiler() pointer and a
-// branch. Recording takes a spin lock — the profiler favours exactness over
-// the tracer's lock-freedom, which is fine at fork/join/dispatch frequency.
+// in, and the runtime reaches it only through the edge spine
+// (runtime/edges.h), whose gate, with no Profiler installed, is one load of
+// the inline profiler() pointer and a branch. Recording takes a spin lock —
+// the profiler favours exactness over the tracer's lock-freedom, which is
+// fine at fork/join/dispatch frequency.
 //
 // Clock caveat (RealEngine): charges are steady-clock slice durations
 // measured on different kernel threads, so span edges mix timestamps from
@@ -83,7 +84,7 @@ struct CollapsedLine {
 
 /// A profiling session. Caller-owned (RuntimeOptions::profiler points at
 /// one); the engine installs it for the duration of run(), feeds it through
-/// the DFTH_PROF_* hooks, and merges its ProfileStats into RunStats.
+/// the edge spine (runtime/edges.h), and merges its ProfileStats into RunStats.
 class Profiler {
  public:
   Profiler();
@@ -98,7 +99,7 @@ class Profiler {
   /// remembers the run's measured time for the what-if report.
   void end_run(double elapsed_us, int nprocs);
 
-  // -- hook backend (called through the DFTH_PROF_* macros) -------------------
+  // -- hook backend (called through the edge spine, runtime/edges.h) ----------
   /// Registers fiber `child` spawned by `parent` at `file:line`; the child
   /// inherits the parent's span as of the fork instant. `offset_ns` is work
   /// the parent has accrued but not yet charged through work() (SimEngine
@@ -234,26 +235,3 @@ inline Profiler* profiler() {
 }
 
 }  // namespace dfth::obs
-
-// Hook macros: no-ops unless a Profiler is installed.
-#define DFTH_PROF_HOOK(call)                                           \
-  do {                                                                 \
-    if (::dfth::obs::Profiler* dfth_pr_ = ::dfth::obs::profiler()) {   \
-      dfth_pr_->call;                                                  \
-    }                                                                  \
-  } while (0)
-#define DFTH_PROF_THREAD_START(child, parent, offset_ns, file, line) \
-  DFTH_PROF_HOOK(thread_start((child), (parent), (offset_ns), (file), (line)))
-#define DFTH_PROF_WORK(tid, ns) DFTH_PROF_HOOK(work((tid), (ns)))
-#define DFTH_PROF_OVERHEAD(tid, ns) DFTH_PROF_HOOK(overhead((tid), (ns)))
-#define DFTH_PROF_DISPATCH(tid, overhead_ns, gap_ns) \
-  DFTH_PROF_HOOK(dispatch((tid), (overhead_ns), (gap_ns)))
-#define DFTH_PROF_FORK_COST(child, ns) DFTH_PROF_HOOK(fork_cost((child), (ns)))
-#define DFTH_PROF_JOIN(joiner, child, offset_ns) \
-  DFTH_PROF_HOOK(join_edge((joiner), (child), (offset_ns)))
-#define DFTH_PROF_WAKE(waker, wakee, offset_ns) \
-  DFTH_PROF_HOOK(wake_edge((waker), (wakee), (offset_ns)))
-#define DFTH_PROF_STEAL(tid, burden_ns) \
-  DFTH_PROF_HOOK(steal((tid), (burden_ns)))
-#define DFTH_PROF_EXIT(tid, offset_ns) \
-  DFTH_PROF_HOOK(exit_fiber((tid), (offset_ns)))

@@ -41,7 +41,7 @@ namespace dfth::obs {
 
 enum class EvKind : std::uint8_t {
   Fork,          ///< tid = parent, arg = child id
-  Join,          ///< tid = joiner, arg = joined id
+  Join,          ///< tid = joiner, arg = joined id (the join completed)
   Dispatch,      ///< tid runs on this lane; arg = dispatch count
   Preempt,       ///< runnable tid switched out; arg = PreemptReason
   QuotaExhaust,  ///< df_malloc drove tid's quota to zero; arg = bytes

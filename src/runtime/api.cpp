@@ -4,18 +4,15 @@
 #include <chrono>
 #include <cstring>
 
-#include "analyze/race_hooks.h"
 #include "graph/recorder.h"
 #include "replay/session.h"
 #include "resil/faults.h"
+#include "runtime/edges.h"
 #include "runtime/real_engine.h"
 #include "runtime/sim_engine.h"
 #include "space/tracked_heap.h"
 #include "util/check.h"
 #include "util/log.h"
-#if DFTH_VALIDATE
-#include "analyze/auditor.h"
-#endif
 
 namespace dfth {
 namespace {
@@ -149,10 +146,7 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
   }
 
   if (effective.recorder) detail::set_recorder(effective.recorder);
-
-  // Fiber ids restart per run, so stale happens-before state from a prior
-  // run must not leak into this one (accumulated reports are kept).
-  DFTH_RACE_BEGIN_RUN();
+  edges::on_run_start();
 
   detail::set_engine(eng.get());
   RunStats stats = eng->run(main_fn);
@@ -208,14 +202,8 @@ void* join(Thread t) {
   Engine* e = engine();
   Tcb* child = t.tcb_;
   check_handle(e, child, t.id_);
-  void* result = e->join(child);
+  void* result = e->join(child);  // crosses the join edge
   child->joined = true;
-  // Exit→joiner edge: everything the child (and its whole joined subtree)
-  // did happens-before the code after this join.
-  DFTH_RACE_JOIN(e->current(), child);
-  if (Recorder* rec = active_recorder()) {
-    rec->on_join(t.id_, e->current() ? e->current()->id : 0);
-  }
   e->release_handle(child);
   return result;
 }
@@ -366,15 +354,6 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
       insert_dummy_threads((bytes + quota - 1) / quota);
     }
   }
-#if DFTH_VALIDATE
-  // Audited after the dummy-tree insertion so the δ credit those dummies
-  // earn at registration is visible to the oversized-allocation check.
-  if (e && e->uses_alloc_quota()) {
-    if (analyze::InvariantAuditor* aud = analyze::active_auditor()) {
-      aud->on_alloc(e->current(), bytes, e->quota_bytes());
-    }
-  }
-#endif
   std::int64_t fresh = 0;
   bool injected = false;
   void* p = TrackedHeap::instance().allocate_ex(bytes, &fresh,
@@ -408,10 +387,9 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
             std::memory_order_relaxed);
       }
     }
-    e->on_alloc(bytes, fresh);  // may quota-preempt the calling thread
-  }
-  if (Recorder* rec = active_recorder()) {
-    rec->on_alloc(self_id(), static_cast<std::int64_t>(bytes));
+    // The alloc edge, then the quota charge that may preempt the caller.
+    // The edge's audit sees the δ credit the dummy tree above earned.
+    e->on_alloc(bytes, fresh);
   }
   if (status) *status = DfStatus::kOk;
   return p;
@@ -430,33 +408,22 @@ void df_free(void* p) {
     }
     e->on_free(bytes);
   }
-  if (Recorder* rec = active_recorder()) {
-    rec->on_alloc(self_id(), -static_cast<std::int64_t>(bytes));
-  }
 }
 
 #if DFTH_RACE
 void df_read(const void* p, std::size_t bytes, const char* site) {
-  Engine* e = engine();
-  if (!e) return;
-  if (Tcb* cur = e->current()) {
-    analyze::RaceDetector::instance().on_read(cur, p, bytes, site);
-  }
+  edges::on_access(p, bytes, site, /*write=*/false);
 }
 
 void df_write(const void* p, std::size_t bytes, const char* site) {
-  Engine* e = engine();
-  if (!e) return;
-  if (Tcb* cur = e->current()) {
-    analyze::RaceDetector::instance().on_write(cur, p, bytes, site);
-  }
+  edges::on_access(p, bytes, site, /*write=*/true);
 }
 #endif
 
 void annotate_work(std::uint64_t ops) {
   if (ops == 0) return;
   if (Engine* e = engine()) e->add_work(ops);
-  if (Recorder* rec = active_recorder()) rec->on_work(self_id(), ops);
+  edges::on_annotated_work(ops);
 }
 
 void annotate_touch(const std::uint32_t* block_ids, std::size_t count) {

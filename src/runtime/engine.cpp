@@ -2,18 +2,14 @@
 
 #include <algorithm>
 
-#include "analyze/race_hooks.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "replay/hooks.h"
 #include "replay/log.h"
 #include "resil/faults.h"
+#include "runtime/edges.h"
 #include "space/tracked_heap.h"
 #include "util/check.h"
-
-#if DFTH_VALIDATE
-#include "analyze/auditor.h"
-#endif
 
 namespace dfth {
 
@@ -59,11 +55,8 @@ Tcb* Engine::make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy
 
 void Engine::start_main(Tcb* main) {
   main->is_main = true;
-  main->site_file = "<main>";
-  main->site_line = 0;
   release_handle(main);  // nobody joins main
-  DFTH_RACE_FORK(main, nullptr);
-  DFTH_PROF_THREAD_START(main->id, 0, 0, main->site_file, main->site_line);
+  link_child(main, nullptr, "<main>", 0);
 }
 
 void Engine::link_child(Tcb* child, Tcb* parent, const char* site_file,
@@ -76,22 +69,14 @@ void Engine::link_child(Tcb* child, Tcb* parent, const char* site_file,
                       : (parent ? parent->cancel : nullptr);
   child->site_file = site_file;
   child->site_line = site_line;
-  const std::uint64_t parent_id = parent ? parent->id : 0;
-  DFTH_RACE_FORK(child, parent);
-  if (Recorder* rec = active_recorder()) rec->on_thread_start(child->id, parent_id);
-  DFTH_TRACE_EMIT(lane(), child->is_dummy ? obs::EvKind::DummySpawn : obs::EvKind::Fork,
-                  parent_id, child->id);
+  edges::on_fork(*this, child);
 }
 
 void Engine::count_inline_spawn(Tcb* parent, Tcb* child) {
   ++stats_.threads_created;
   ++stats_.inline_runs;
   if (child->is_dummy) ++stats_.dummy_threads;
-#if DFTH_VALIDATE
-  if (auto* aud = analyze::active_auditor()) aud->on_inline_run(parent, child);
-#else
-  (void)parent;
-#endif
+  edges::on_inline_run(parent, child);
 }
 
 Tcb* Engine::run_inline(Tcb* child) {
@@ -103,9 +88,7 @@ Tcb* Engine::run_inline(Tcb* child) {
   // span — which is exactly what running inline means.
   child->result = child->entry();
   child->entry = nullptr;
-  // lane() again: a body that blocked may have resumed on another lane.
-  DFTH_TRACE_EMIT(lane(), obs::EvKind::Exit, child->id, 0);
-  DFTH_PROF_EXIT(child->id, 0);
+  edges::on_exit(*this, child);
   child->join_lock.lock();
   child->finished = true;
   child->join_lock.unlock();
@@ -134,12 +117,16 @@ void Engine::grant_dispatch(Tcb* t, int lane, std::uint64_t flags) {
                      flags);
 }
 
+bool Engine::charge_quota(Tcb* t, std::size_t bytes) {
+  t->quota -= static_cast<std::int64_t>(bytes);
+  // §4 item 2: "when the counter reaches zero, the thread is preempted."
+  if (t->quota > 0) return false;
+  DFTH_TRACE_EMIT(lane(), obs::EvKind::QuotaExhaust, t->id, bytes);
+  return true;
+}
+
 std::size_t Engine::shrink_quota(Tcb* cur) {
-#if DFTH_VALIDATE
-  if (auto* aud = analyze::active_auditor()) aud->on_oom_preempt(cur);
-#else
-  (void)cur;
-#endif
+  edges::on_oom_preempt(cur);
   ++stats_.oom_preemptions;
   std::size_t q = eff_quota_.load(std::memory_order_relaxed);
   if (q > 0) {
@@ -166,7 +153,10 @@ bool Engine::claim_timeout(const Sleeper& s, std::optional<std::uint64_t> log_ac
     DFTH_REPLAY_COMMIT(replay::EvKind::TimeoutClaim, *log_actor, s.t->id, 0);
   }
   s.guard->unlock();
-  if (claimed) s.t->timed_out = true;
+  if (claimed) {
+    s.t->timed_out = true;
+    edges::on_timeout(*this, s.t);
+  }
   return claimed;
 }
 
@@ -174,14 +164,6 @@ void Engine::cancel_sleeper(Tcb* t) {
   auto it = std::find_if(sleepers_.begin(), sleepers_.end(),
                          [t](const Sleeper& s) { return s.t == t; });
   if (it != sleepers_.end()) sleepers_.erase(it);
-}
-
-void Engine::audit_exit(const Tcb* t) {
-#if DFTH_VALIDATE
-  if (auto* aud = analyze::active_auditor()) aud->on_exit(t);
-#else
-  (void)t;
-#endif
 }
 
 void Engine::begin_run(int trace_lanes, std::function<std::uint64_t()> trace_clock) {

@@ -87,6 +87,14 @@ class Engine {
   /// CancelToken::deadline_ns. Virtual ns in Sim, steady-clock ns in Real.
   virtual std::uint64_t now_ns() const = 0;
 
+  // -- values the edge spine reads (runtime/edges.h) --------------------------
+  /// Trace lane of the calling context.
+  virtual int lane() const = 0;
+  /// Work the calling fiber has done but not yet charged to the profiler:
+  /// Sim's pending fiber-side charges, Real's partial dispatch slice; 0
+  /// outside a fiber. Edges that fire mid-slice pass it as their offset.
+  virtual std::uint64_t span_offset_ns() const = 0;
+
   // -- allocation accounting (called by df_malloc / df_free) -----------------
   virtual void on_alloc(std::size_t bytes, std::int64_t fresh_bytes) = 0;
   virtual void on_free(std::size_t bytes) = 0;
@@ -129,8 +137,6 @@ class Engine {
     WaitList* list = nullptr;
   };
 
-  /// Trace lane of the calling fiber context.
-  virtual int lane() const = 0;
   /// The lanes and the fibers they run, for the flight dump.
   virtual std::vector<resil::FlightLane> flight_lanes() const = 0;
   /// The deadline-at-dispatch test: has t's cancel token passed its
@@ -145,10 +151,10 @@ class Engine {
   /// fault site fired), and the caller runs the thread inline.
   Tcb* make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy,
                 std::uint64_t tid, std::size_t stack_bytes);
-  /// Main-thread setup: nobody joins main, and it opens the profiler's span.
+  /// Main-thread setup: nobody joins main, and its fork edge is the root.
   void start_main(Tcb* main);
-  /// Spawn prologue: parent link, inherited cancel scope, spawn site, race
-  /// fork edge, graph recorder, and the Fork/DummySpawn trace event.
+  /// Spawn prologue: parent link, inherited cancel scope, spawn site, and
+  /// the fork edge.
   void link_child(Tcb* child, Tcb* parent, const char* site_file, int site_line);
   /// Counts an inline-run spawn and audits it. Real holds its lock here.
   void count_inline_spawn(Tcb* parent, Tcb* child);
@@ -163,6 +169,16 @@ class Engine {
   /// `flags` (plus kDispatchDeadline when it fired). The caller holds
   /// whatever serializes dispatch decisions.
   void grant_dispatch(Tcb* t, int lane, std::uint64_t flags);
+  /// Flips t to Ready and queues it on lane `proc`, eligible from
+  /// `ready_at_ns` on the engine clock. The caller serializes scheduler ops.
+  void make_ready(Tcb* t, std::uint64_t ready_at_ns, int proc) {
+    t->state.store(ThreadState::Ready, std::memory_order_relaxed);
+    t->ready_at_ns = ready_at_ns;
+    sched_->on_ready(t, proc);
+  }
+  /// Charges a df_malloc of `bytes` to fiber t's quota; true when that
+  /// exhausted it (QuotaExhaust event) and the caller must preempt t.
+  bool charge_quota(Tcb* t, std::size_t bytes);
   /// One OOM-recovery round: audits and counts the preempt, then halves the
   /// effective quota K (floor 4096; K = 0 stays 0). Returns the new K.
   std::size_t shrink_quota(Tcb* cur);
@@ -172,14 +188,12 @@ class Engine {
                          std::uint64_t timeout_ns);
   /// The timed-wait claim token: removing s.t from s.list under s.guard.
   /// Exactly one of the timer and a waker wins; a timer win marks the waiter
-  /// timed out and, given `log_actor`, is logged as that actor's
-  /// TimeoutClaim inside the guard.
+  /// timed out, crosses the timeout edge and, given `log_actor`, is logged as
+  /// that actor's TimeoutClaim inside the guard.
   bool claim_timeout(const Sleeper& s,
                      std::optional<std::uint64_t> log_actor = std::nullopt);
   /// Drops t's timer entry, if any.
   void cancel_sleeper(Tcb* t);
-  /// Validate builds: a thread must not exit holding a lock.
-  void audit_exit(const Tcb* t);
 
   /// Opens a run: new heap epoch, K reset to opts.mem_quota, the fault plan
   /// armed, the tracer (`trace_lanes` rings on `trace_clock`) and the

@@ -4,13 +4,13 @@
 #include <chrono>
 #include <limits>
 
-#include "obs/counters.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "replay/hooks.h"
 #include "replay/log.h"
 #include "replay/replay_sched.h"
 #include "resil/faults.h"
+#include "runtime/edges.h"
 #include "space/tracked_heap.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -39,6 +39,14 @@ std::uint64_t take_tid(std::atomic<std::uint64_t>& next) {
     return rs->alloc_tid(next, ::dfth::replay::self_actor());
   }
   return next++;
+}
+
+// Charges `t` the slice that began at `start` as fiber work; returns now.
+// Only while a profiler is installed: the slice clock is its alone.
+std::uint64_t charge_slice(const Tcb* t, std::uint64_t start) {
+  const std::uint64_t now = steady_now_ns();
+  edges::on_work(t->id, now - start);
+  return now;
 }
 
 // True while a strict replay still has logged decisions to serve.
@@ -77,6 +85,13 @@ int RealEngine::lane() const {
   return w ? w->id : opts_.nprocs;
 }
 
+std::uint64_t RealEngine::span_offset_ns() const {
+  // Bound threads and engine-external callers have no worker, hence no
+  // slice: a bound thread charges its one slice when it ends.
+  Worker* w = this_worker();
+  return (w && w->current) ? steady_now_ns() - w->slice_start_ns : 0;
+}
+
 RealEngine::RealEngine(const RuntimeOptions& opts)
     : Engine(opts, pinned_replay_scheduler(opts.sched), &fiber_entry) {}
 
@@ -89,11 +104,7 @@ Tcb* RealEngine::make_fiber(std::function<void*()> fn, const Attr& attr,
   const std::size_t size = attr.stack_size ? attr.stack_size : opts_.default_stack_size;
   Tcb* t = make_tcb(std::move(fn), attr, is_dummy, take_tid(next_tid_),
                     attr.bound ? 0 : std::max(size, kRealStackFloor));
-  if (t->stack) {
-    DFTH_TRACE_EMIT(lane(), t->stack.fresh ? obs::EvKind::StackFresh
-                                           : obs::EvKind::StackReuse,
-                    t->id, t->stack.size);
-  }
+  if (t->stack) edges::on_stack(*this, t, t->stack.fresh, t->stack.size);
   return t;
 }
 
@@ -102,16 +113,13 @@ void RealEngine::fiber_entry(void* arg) {
   t->result = t->entry();
   t->entry = nullptr;
   auto* self = static_cast<RealEngine*>(engine());
-  // Flush the final slice and seal the span *before* finish_thread wakes the
-  // joiner — the wake edge must read the fiber's finished span. run_fiber
+  // Charge the final slice *before* finish_thread seals the span and wakes
+  // the joiner — the wake edge must read the fiber's finished span. run_fiber
   // skips its post-switch charge on ExitCleanup so nothing double-counts;
   // the slice restarts so the wake edge's offset covers only finish_thread.
-  if (obs::Profiler* pr = obs::profiler()) {
+  if (obs::profiler()) {
     Worker* w = this_worker();
-    const std::uint64_t now = steady_now_ns();
-    pr->work(t->id, now - w->slice_start_ns);
-    w->slice_start_ns = now;
-    pr->exit_fiber(t->id, 0);
+    w->slice_start_ns = charge_slice(t, w->slice_start_ns);
   }
   self->finish_thread(t);
   t->state.store(ThreadState::Done, std::memory_order_release);
@@ -122,8 +130,7 @@ void RealEngine::fiber_entry(void* arg) {
 }
 
 void RealEngine::finish_thread(Tcb* t) {
-  audit_exit(t);
-  DFTH_TRACE_EMIT(lane(), obs::EvKind::Exit, t->id, 0);
+  edges::on_exit(*this, t);
   DFTH_REPLAY_GATE_SELF();
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -159,81 +166,59 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   Tcb* child = make_fiber(std::move(fn), attr, is_dummy);
   Worker* w = this_worker();
   Tcb* parent = current();
-  link_child(child, parent, site_file, site_line);
-  // Fork edge, emitted before the child is published to the scheduler —
+  // The fork edge runs before the child is published to the scheduler —
   // another worker may dispatch it (and charge work to it) the moment
-  // register_thread returns. The offset is the parent's uncharged partial
-  // slice so the child inherits the span as of *now*, not slice start.
-  DFTH_PROF_THREAD_START(
-      child->id, parent ? parent->id : 0,
-      (w && parent && !parent->attr.bound) ? steady_now_ns() - w->slice_start_ns
-                                           : 0,
-      child->site_file, child->site_line);
+  // register_thread returns.
+  link_child(child, parent, site_file, site_line);
 
-  if (child->attr.bound) {
-    DFTH_REPLAY_GATE_SELF();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++live_;
-      ++bound_live_;
-      ++stats_.threads_created;
-      stats_.max_live_threads = std::max(stats_.max_live_threads, live_);
-      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                         ::dfth::replay::self_actor(), child->id,
-                         ::dfth::replay::kSpawnBound);
-    }
-    start_bound_thread(child);
-    return child;
-  }
-
-  if (!child->stack) {
-    // Never registered with the scheduler and never counted in live_: the
-    // child is already Done when the handle becomes visible.
-    DFTH_REPLAY_GATE_SELF();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      count_inline_spawn(parent, child);
-      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                         ::dfth::replay::self_actor(), child->id,
-                         ::dfth::replay::kSpawnInline);
-    }
-    return run_inline(child);
-  }
-
-  bool preempt;
+  // One registration section for every placement. An inline child is never
+  // registered and never counted in live_: it is already Done when the
+  // handle becomes visible.
+  bool preempt = false;
+  std::uint64_t placement;
   DFTH_REPLAY_GATE_SELF();
   {
     std::lock_guard<std::mutex> lk(mu_);
-    preempt = sched_->register_thread(parent, child);
-    ++live_;
-    ++stats_.threads_created;
-    if (is_dummy) ++stats_.dummy_threads;
-    stats_.max_live_threads = std::max(stats_.max_live_threads, live_);
-    // A bound (or engine-external) caller has no worker to preempt.
-    if (!(preempt && w && parent && !parent->attr.bound)) {
-      preempt = false;
-      child->state.store(ThreadState::Ready, std::memory_order_relaxed);
-      sched_->on_ready(child, w ? w->id : 0);
-      cv_.notify_one();
+    if (child->attr.bound) {
+      ++live_;
+      ++bound_live_;
+      ++stats_.threads_created;
+      placement = ::dfth::replay::kSpawnBound;
+    } else if (!child->stack) {
+      count_inline_spawn(parent, child);
+      placement = ::dfth::replay::kSpawnInline;
+    } else {
+      preempt = sched_->register_thread(parent, child);
+      ++live_;
+      ++stats_.threads_created;
+      if (is_dummy) ++stats_.dummy_threads;
+      // A bound (or engine-external) caller has no worker to preempt.
+      if (!(preempt && w && parent && !parent->attr.bound)) {
+        preempt = false;
+        ready_locked(child, w ? w->id : 0);
+        cv_.notify_one();
+      }
+      // The *effective* decision (fork dive or queued) is what replay pins.
+      placement = preempt ? ::dfth::replay::kSpawnPreempt : 0;
     }
-    // Committed after the placement is final: b is the *effective*
-    // decision (fork dive or queued), which is what replay must pin.
+    stats_.max_live_threads = std::max(stats_.max_live_threads, live_);
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                       ::dfth::replay::self_actor(), child->id,
-                       preempt ? ::dfth::replay::kSpawnPreempt : 0);
+                       ::dfth::replay::self_actor(), child->id, placement);
   }
-  DFTH_PROF_FORK_COST(child->id, steady_now_ns() - fork_t0);
+  // Branch on the logged placement: a queued child may already have run and
+  // released its stack.
+  if (placement == ::dfth::replay::kSpawnBound) {
+    start_bound_thread(child);
+    return child;
+  }
+  if (placement == ::dfth::replay::kSpawnInline) return run_inline(child);
+  if (obs::profiler()) edges::on_fork_cost(child, steady_now_ns() - fork_t0);
 
   if (preempt) {
     // Dive into the child; the worker requeues the parent once its context
-    // is fully saved (save-before-publish, see header comment).
-    DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, parent->id,
-                    obs::kPreemptForkDive);
-    w->post = Post::RunNext;
-    w->post_fiber = parent;
-    w->post_next = child;
-    context_switch(&parent->ctx, &w->ctx);
-    // Parent resumes here later, possibly on a different worker.
+    // is fully saved (save-before-publish, see header comment). The parent
+    // resumes here later, possibly on a different worker.
+    switch_out(w, parent, obs::kPreemptForkDive, Post::RunNext, child);
   }
   return child;
 }
@@ -247,8 +232,7 @@ void RealEngine::start_bound_thread(Tcb* t) {
     t->result = t->entry();
     t->entry = nullptr;
     // A bound thread is one uninterrupted slice on its own kernel thread.
-    DFTH_PROF_WORK(t->id, steady_now_ns() - t0);
-    DFTH_PROF_EXIT(t->id, 0);
+    if (obs::profiler()) charge_slice(t, t0);
     t->state.store(ThreadState::Done, std::memory_order_release);
     {
       std::lock_guard<std::mutex> inner(mu_);
@@ -261,7 +245,6 @@ void RealEngine::start_bound_thread(Tcb* t) {
 }
 
 void* RealEngine::join(Tcb* t) {
-  DFTH_TRACE_EMIT(lane(), obs::EvKind::Join, current() ? current()->id : 0, t->id);
   DFTH_REPLAY_GATE_SELF();
   t->join_lock.lock();
   // The join-vs-exit race on join_lock decides blocking; commit the outcome
@@ -276,16 +259,20 @@ void* RealEngine::join(Tcb* t) {
     cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
     block_current(&t->join_lock);  // releases join_lock after the switch
     DFTH_CHECK(t->finished);
-    // Span edge for this path: the wake() from finish_thread.
   } else {
     t->join_lock.unlock();
-    // Fast path — the child already finished; take the span max here.
-    Worker* w = this_worker();
-    Tcb* cur = current();
-    DFTH_PROF_JOIN(cur ? cur->id : 0, t->id,
-                   (w && cur) ? steady_now_ns() - w->slice_start_ns : 0);
   }
+  edges::on_join(*this, t);
   return t->result;
+}
+
+void RealEngine::switch_out(Worker* w, Tcb* cur, std::uint64_t reason, Post post,
+                            Tcb* next) {
+  DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, cur->id, reason);
+  w->post = post;
+  w->post_fiber = cur;
+  w->post_next = next;
+  context_switch(&cur->ctx, &w->ctx);
 }
 
 void RealEngine::yield() {
@@ -294,11 +281,7 @@ void RealEngine::yield() {
     std::this_thread::yield();  // bound threads yield to the kernel
     return;
   }
-  Tcb* cur = w->current;
-  DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, cur->id, obs::kPreemptYield);
-  w->post = Post::Requeue;
-  w->post_fiber = cur;
-  context_switch(&cur->ctx, &w->ctx);
+  switch_out(w, w->current, obs::kPreemptYield);
 }
 
 void RealEngine::block_current(SpinLock* guard) {
@@ -306,51 +289,39 @@ void RealEngine::block_current(SpinLock* guard) {
   DFTH_CHECK(cur && cur->state.load(std::memory_order_relaxed) == ThreadState::Blocked);
   DFTH_CHECK_MSG(guard->is_locked(),
                  "block_current without holding the wait-list guard");
-  Worker* w = this_worker();
-  DFTH_TRACE_EMIT(lane(), obs::EvKind::Block, cur->id, 0);
-  if (!w || cur->attr.bound) {
-    // Bound threads have no fiber to switch away from: release the guard
-    // and wait for wake() to flip the state (kernel-level blocking stand-in).
-    guard->unlock();
-    while (cur->state.load(std::memory_order_acquire) == ThreadState::Blocked) {
-      std::this_thread::yield();
-    }
-    return;
-  }
-  w->post = Post::ReleaseGuard;
-  w->post_guard = guard;
-  context_switch(&cur->ctx, &w->ctx);
+  park(cur, guard, nullptr);
 }
 
 void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
                                      std::uint64_t timeout_ns) {
   Tcb* cur = current();
   const Sleeper s = arm_timed_wait(cur, guard, list, timeout_ns);
-  Worker* w = this_worker();
-  DFTH_TRACE_EMIT(lane(), obs::EvKind::Block, cur->id, 0);
+  park(cur, guard, &s);
+}
 
+void RealEngine::park(Tcb* cur, SpinLock* guard, const Sleeper* timer) {
+  Worker* w = this_worker();
+  edges::on_block(*this, cur);
   if (!w || cur->attr.bound) {
-    // Bound threads poll with a deadline: on expiry, claim ourselves off the
-    // wait list under the guard. Losing the claim means a waker popped us
-    // and is about to flip our state — keep spinning for that.
+    // Bound threads have no fiber to switch away from: release the guard
+    // and wait for wake() to flip the state (kernel-level blocking
+    // stand-in). A timed wait polls its deadline meanwhile: on expiry, claim
+    // ourselves off the wait list under the guard. Losing the claim means a
+    // waker popped us and is about to flip our state — keep spinning.
     guard->unlock();
     while (cur->state.load(std::memory_order_acquire) == ThreadState::Blocked) {
       // In a pinned replay the deadline-vs-waker race expires exactly when
       // the log says this waiter claimed itself, never on the wall clock.
-      const bool due = replay_pinned()
-                           ? replay::active()->head_is(
-                                 replay::EvKind::TimeoutClaim, cur->id, nullptr)
-                           : steady_now_ns() >= s.deadline_ns;
-      if (due) {
-        if (claim_timeout(s, cur->id)) {
-          cur->state.store(ThreadState::Ready, std::memory_order_relaxed);
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            ++stats_.sync_timeouts;
-          }
-          DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, cur->id, 0);
-          return;
-        }
+      const bool due =
+          timer != nullptr &&
+          (replay_pinned() ? replay::active()->head_is(replay::EvKind::TimeoutClaim,
+                                                       cur->id, nullptr)
+                           : steady_now_ns() >= timer->deadline_ns);
+      if (due && claim_timeout(*timer, cur->id)) {
+        cur->state.store(ThreadState::Ready, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lk(mu_);
+        ++stats_.sync_timeouts;
+        return;
       }
       std::this_thread::yield();
     }
@@ -361,14 +332,17 @@ void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
   // timer can only claim us off the wait list under the guard, which the
   // worker releases strictly after our context is saved (Post::ReleaseGuard)
   // — so a premature fire blocks on the guard until the save completes.
-  {
-    std::lock_guard<std::mutex> lk(sup_mu_);
-    sleepers_.push_back(s);
+  if (timer) {
+    {
+      std::lock_guard<std::mutex> lk(sup_mu_);
+      sleepers_.push_back(*timer);
+    }
+    sup_cv_.notify_all();
   }
-  sup_cv_.notify_all();
   w->post = Post::ReleaseGuard;
   w->post_guard = guard;
   context_switch(&cur->ctx, &w->ctx);
+  if (!timer) return;
   // Resumed by the timer or a waker; either way the timer entry is dead. An
   // in-flight fire for us already left sleepers_ but may not have taken the
   // guard yet; wait it out or it could claim our *next* wait.
@@ -378,15 +352,7 @@ void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
 }
 
 void RealEngine::wake(Tcb* t) {
-  DFTH_TRACE_EMIT(lane(), obs::EvKind::Wake, t->id, current() ? current()->id : 0);
-  {
-    Worker* w = this_worker();
-    Tcb* cur = current();
-    DFTH_PROF_WAKE(
-        cur ? cur->id : 0, t->id,
-        (w && cur && !cur->attr.bound) ? steady_now_ns() - w->slice_start_ns
-                                       : 0);
-  }
+  edges::on_wake(*this, t);
   if (t->attr.bound) {
     // A bound waiter spins on its own state word; no shared scheduler state
     // is touched, so this store is not an ordered replay event (documented
@@ -397,40 +363,35 @@ void RealEngine::wake(Tcb* t) {
   Worker* w = this_worker();
   DFTH_REPLAY_GATE_SELF();
   std::lock_guard<std::mutex> lk(mu_);
-  t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-  t->ready_at_ns = 0;
-  sched_->on_ready(t, w ? w->id : 0);
-  progress_.fetch_add(1, std::memory_order_relaxed);
+  ready_locked(t, w ? w->id : 0);
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Wake, ::dfth::replay::self_actor(),
                      t->id, 0);
   cv_.notify_one();
 }
 
+void RealEngine::ready_locked(Tcb* t, int proc) {
+  make_ready(t, 0, proc);  // Real picks ignore ready times
+  progress_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void RealEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
   (void)fresh_bytes;
-  DFTH_TRACE_ALLOC_EVENT(lane(), obs::EvKind::Alloc, current() ? current()->id : 0,
-                         bytes);
+  edges::on_heap(*this, static_cast<std::int64_t>(bytes));
   if (!sched_->needs_quota()) return;
   Tcb* cur = current();
   Worker* w = this_worker();
   if (!cur || !w || cur->attr.bound) return;
-  cur->quota -= static_cast<std::int64_t>(bytes);
-  if (cur->quota <= 0) {
+  if (charge_quota(cur, bytes)) {
     {
       std::lock_guard<std::mutex> lk(mu_);
       ++stats_.quota_preemptions;
     }
-    DFTH_TRACE_EMIT(w->id, obs::EvKind::QuotaExhaust, cur->id, bytes);
-    DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, cur->id, obs::kPreemptQuota);
-    w->post = Post::Requeue;
-    w->post_fiber = cur;
-    context_switch(&cur->ctx, &w->ctx);
+    switch_out(w, cur, obs::kPreemptQuota);
   }
 }
 
 void RealEngine::on_free(std::size_t bytes) {
-  DFTH_TRACE_ALLOC_EVENT(lane(), obs::EvKind::Free, current() ? current()->id : 0,
-                         bytes);
+  edges::on_heap(*this, -static_cast<std::int64_t>(bytes));
 }
 
 bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
@@ -459,12 +420,7 @@ bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   std::this_thread::sleep_for(
       std::chrono::microseconds(50ull << std::min(attempt, 8)));
   Worker* w = this_worker();
-  if (cur && w && !cur->attr.bound) {
-    DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, cur->id, obs::kPreemptOom);
-    w->post = Post::Requeue;
-    w->post_fiber = cur;
-    context_switch(&cur->ctx, &w->ctx);
-  }
+  if (cur && w && !cur->attr.bound) switch_out(w, cur, obs::kPreemptOom);
   return true;
 }
 
@@ -476,11 +432,10 @@ void RealEngine::run_fiber(Worker& w, Tcb* t) {
   w.post_guard = nullptr;
   if (obs::profiler()) w.slice_start_ns = steady_now_ns();
   context_switch(&w.ctx, &t->ctx);
-  if (obs::Profiler* pr = obs::profiler()) {
-    const std::uint64_t now = steady_now_ns();
-    // ExitCleanup: fiber_entry already flushed the slice before sealing.
-    if (w.post != Post::ExitCleanup) pr->work(t->id, now - w.slice_start_ns);
-    w.idle_since_ns = now;
+  if (obs::profiler()) {
+    // ExitCleanup: fiber_entry already charged the slice before sealing.
+    w.idle_since_ns = w.post == Post::ExitCleanup ? steady_now_ns()
+                                                  : charge_slice(t, w.slice_start_ns);
   }
   w.current = nullptr;
 }
@@ -516,9 +471,7 @@ void RealEngine::enqueue_ready(Tcb* t, int proc_hint) {
   // lane, not a fiber — the requeued fiber's context is already detached.
   DFTH_REPLAY_GATE(::dfth::replay::lane_actor(proc_hint));
   std::lock_guard<std::mutex> lk(mu_);
-  t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-  sched_->on_ready(t, proc_hint);
-  progress_.fetch_add(1, std::memory_order_relaxed);
+  ready_locked(t, proc_hint);
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Requeue,
                      ::dfth::replay::lane_actor(proc_hint), t->id, 0);
   cv_.notify_one();
@@ -586,15 +539,7 @@ void RealEngine::worker_loop(Worker& w) {
       --idle_workers_;
       continue;
     }
-    progress_.fetch_add(1, std::memory_order_relaxed);
-    grant_dispatch(t, w.id, 0);
-    if (obs::Profiler* pr = obs::profiler()) {
-      const std::uint64_t now = steady_now_ns();
-      const std::uint64_t gap =
-          w.idle_since_ns ? now - w.idle_since_ns : 0;
-      pr->dispatch(t->id, now - pick_t0, gap);
-      DFTH_HIST(obs::Hist::DispatchGapNs, gap);
-    }
+    dispatch(w, t, 0, pick_t0);
     lk.unlock();
 
     Tcb* next = t;
@@ -609,14 +554,10 @@ void RealEngine::worker_loop(Worker& w) {
         DFTH_REPLAY_GATE(::dfth::replay::lane_actor(w.id));
         {
           std::lock_guard<std::mutex> inner(mu_);
-          progress_.fetch_add(1, std::memory_order_relaxed);
           // kDispatchForkDive: a dive, not a queue-served pick — cross-replay
           // on the simulator excludes these (they re-happen on its own spawn
           // path).
-          grant_dispatch(follow, w.id, ::dfth::replay::kDispatchForkDive);
-        }
-        if (obs::Profiler* pr = obs::profiler()) {
-          pr->dispatch(follow->id, steady_now_ns() - dive_t0, 0);
+          dispatch(w, follow, ::dfth::replay::kDispatchForkDive, dive_t0);
         }
         next = follow;
       } else {
@@ -626,6 +567,18 @@ void RealEngine::worker_loop(Worker& w) {
     lk.lock();
   }
   tl_worker = nullptr;
+}
+
+void RealEngine::dispatch(Worker& w, Tcb* t, std::uint64_t flags, std::uint64_t t0) {
+  progress_.fetch_add(1, std::memory_order_relaxed);
+  grant_dispatch(t, w.id, flags);
+  if (!obs::profiler()) return;
+  const std::uint64_t now = steady_now_ns();
+  std::optional<std::uint64_t> gap;  // a fork dive has no idle gap
+  if (!(flags & ::dfth::replay::kDispatchForkDive)) {
+    gap = w.idle_since_ns ? now - w.idle_since_ns : 0;
+  }
+  edges::on_dispatch(t, now - t0, gap);
 }
 
 // -- supervisor: timed-wait timers + stall watchdog -------------------------
@@ -639,14 +592,10 @@ bool RealEngine::fire_sleeper(std::unique_lock<std::mutex>& lk, std::size_t i) {
   // the resume and the timer loses quietly.
   const bool claimed = claim_timeout(s, replay::kActorTimer);
   if (claimed) {
-    DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
     DFTH_REPLAY_GATE(::dfth::replay::kActorTimer);
     std::lock_guard<std::mutex> g(mu_);
     ++stats_.sync_timeouts;
-    s.t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-    s.t->ready_at_ns = 0;
-    sched_->on_ready(s.t, 0);
-    progress_.fetch_add(1, std::memory_order_relaxed);
+    ready_locked(s.t, 0);
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutReady,
                        ::dfth::replay::kActorTimer, s.t->id, 0);
     cv_.notify_one();
@@ -820,8 +769,7 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
       ++bound_live_;
     } else {
       sched_->register_thread(nullptr, main);
-      main->state.store(ThreadState::Ready, std::memory_order_relaxed);
-      sched_->on_ready(main, 0);
+      ready_locked(main, 0);
     }
     live_ = 1;
     stats_.threads_created = 1;

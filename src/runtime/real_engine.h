@@ -97,6 +97,7 @@ class RealEngine final : public Engine {
   /// Worker lane, or the shared lane nprocs for bound threads and
   /// engine-external callers.
   int lane() const override;
+  std::uint64_t span_offset_ns() const override;
   std::vector<resil::FlightLane> flight_lanes() const override;
   /// In a pinned replay the recorded Dispatch flags win over the live clock
   /// — wall time drifts between runs, and the flag is the one place the
@@ -110,6 +111,20 @@ class RealEngine final : public Engine {
   void run_fiber(Worker& w, Tcb* t);
   void handle_post(Worker& w);
   void enqueue_ready(Tcb* t, int proc_hint);
+  /// Queues `t` on lane `proc`'s ready set and counts progress (mu_ held).
+  void ready_locked(Tcb* t, int proc);
+  /// Switches the running fiber `cur` out to its worker (a Preempt event
+  /// with `reason`), which requeues it once its context is saved — and with
+  /// Post::RunNext then runs `next`.
+  void switch_out(Worker* w, Tcb* cur, std::uint64_t reason,
+                  Post post = Post::Requeue, Tcb* next = nullptr);
+  /// Grants `t` to w's lane (mu_ held) and crosses the dispatch edge, timed
+  /// from `t0` (read only while a profiler is installed).
+  void dispatch(Worker& w, Tcb* t, std::uint64_t flags, std::uint64_t t0);
+  /// block_current with an optional timer (block_current_timed): releases
+  /// `guard` once cur's context is saved; a bound thread spins, polling the
+  /// timer's deadline itself.
+  void park(Tcb* cur, SpinLock* guard, const Sleeper* timer);
   void start_bound_thread(Tcb* t);
   void finish_thread(Tcb* t);  ///< shared exit bookkeeping (fiber + bound)
 

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <limits>
 
-#include "obs/counters.h"
-#include "obs/profile.h"
 #include "replay/hooks.h"
 #include "replay/log.h"
 #include "replay/replay_sched.h"
+#include "runtime/edges.h"
 #include "space/tracked_heap.h"
 #include "util/check.h"
 #include "util/log.h"
@@ -92,9 +91,10 @@ std::uint64_t SimEngine::vnow_ns() const {
   return procs_[static_cast<std::size_t>(cur_proc_)].clock_ns + pend;
 }
 
-void SimEngine::switch_to_loop() {
-  Tcb* self = cur_;
-  context_switch(&self->ctx, &loop_ctx_);
+void SimEngine::switch_to_loop(Ev ev, SpinLock* guard) {
+  ev_ = ev;
+  ev_guard_ = guard;
+  context_switch(&cur_->ctx, &loop_ctx_);
 }
 
 // -- fiber-context operations --------------------------------------------------
@@ -107,9 +107,8 @@ Tcb* SimEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy
                         is_dummy ? (64 << 10) : kRealStackBytes);
   link_child(child, cur_, site_file, site_line);
   if (child->stack) {
-    ev_ = Ev::Spawn;
     ev_child_ = child;
-    switch_to_loop();
+    switch_to_loop(Ev::Spawn);
     return child;
   }
   count_inline_spawn(cur_, child);
@@ -117,10 +116,8 @@ Tcb* SimEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg, cur_->id, child->id,
                      ::dfth::replay::kSpawnInline);
   live_events_.emplace_back(vnow_ns(), +1);
-  // The child exists for the profiler, but its body's charges accrue to
-  // cur_ (the parent), so its own span stays at the fork-instant value.
-  DFTH_PROF_THREAD_START(child->id, cur_->id, pend_total_ns(),
-                         child->site_file, child->site_line);
+  // The body's charges accrue to cur_ (the parent), so the child's own span
+  // stays at its fork-instant value.
   run_inline(child);
   charge(kThread, opts_.cost.exit_us);
   live_events_.emplace_back(vnow_ns(), -1);
@@ -130,29 +127,20 @@ Tcb* SimEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy
 void* SimEngine::join(Tcb* t) {
   DFTH_CHECK_MSG(in_fiber_, "join outside a thread");
   charge(kThread, opts_.cost.join_us);
-  DFTH_TRACE_EMIT(cur_proc_, obs::EvKind::Join, cur_->id, t->id);
   if (!t->finished) {
     DFTH_CHECK_MSG(t->joiner == nullptr, "two concurrent joiners");
     t->joiner = cur_;
     cur_->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-    ev_ = Ev::Block;
-    ev_guard_ = nullptr;
-    switch_to_loop();
+    switch_to_loop(Ev::Block);
     DFTH_CHECK(t->finished);
-    // The span edge for this path came from wake() when the child exited.
-  } else {
-    // Fast path — the child already finished, the joiner never blocks; take
-    // the span max here (offset: the joiner's uncharged fiber-side costs,
-    // join_us included).
-    DFTH_PROF_JOIN(cur_->id, t->id, pend_total_ns());
   }
+  edges::on_join(*this, t);
   return t->result;
 }
 
 void SimEngine::yield() {
   DFTH_CHECK_MSG(in_fiber_, "yield outside a thread");
-  ev_ = Ev::Yield;
-  switch_to_loop();
+  switch_to_loop(Ev::Yield);
 }
 
 void SimEngine::block_current(SpinLock* guard) {
@@ -161,9 +149,7 @@ void SimEngine::block_current(SpinLock* guard) {
   DFTH_CHECK_MSG(guard == nullptr || guard->is_locked(),
                  "block_current without holding the wait-list guard");
   charge(kSync, opts_.cost.block_us);
-  ev_ = Ev::Block;
-  ev_guard_ = guard;
-  switch_to_loop();
+  switch_to_loop(Ev::Block, guard);
 }
 
 void SimEngine::block_current_timed(SpinLock* guard, WaitList* list,
@@ -171,9 +157,7 @@ void SimEngine::block_current_timed(SpinLock* guard, WaitList* list,
   DFTH_CHECK_MSG(in_fiber_, "timed block outside a thread");
   charge(kSync, opts_.cost.block_us);  // the deadline counts from after it
   sleepers_.push_back(arm_timed_wait(cur_, guard, list, timeout_ns));
-  ev_ = Ev::Block;
-  ev_guard_ = guard;
-  switch_to_loop();
+  switch_to_loop(Ev::Block, guard);
   // Resumed — by the timer or by a waker. Either way our timer entry is
   // dead; drop it so a later wait cannot be hit by this deadline.
   cancel_sleeper(cur_);
@@ -190,28 +174,21 @@ void SimEngine::fire_due_sleepers(VProc& vp, int pid) {
     // A lost claim means a waker popped the waiter first and its wake() owns
     // the resume. One host thread: the claim order is the loop's own, so it
     // is not logged.
+    loop_now_ns_ = vp.clock_ns;  // the timeout edge's instant
     if (!claim_timeout(s)) continue;
     ++stats_.sync_timeouts;
-    DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Wake, vp.clock_ns, s.t->id, 0);
     sched_lock_acquire(vp, pid);
-    s.t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-    s.t->ready_at_ns = s.deadline_ns;  // eligible from its deadline instant
-    sched_->on_ready(s.t, pid);
+    make_ready(s.t, s.deadline_ns, pid);  // eligible from its deadline instant
   }
 }
 
 void SimEngine::wake(Tcb* t) {
   DFTH_CHECK(t->state.load(std::memory_order_relaxed) == ThreadState::Blocked);
-  DFTH_TRACE_EMIT(cur_proc_ >= 0 ? cur_proc_ : 0, obs::EvKind::Wake, t->id,
-                  cur_ ? cur_->id : 0);
-  // Happens-before edge waker → wakee: the same edge the race detector
-  // orders. Covers both sync-object wakes (fiber context, offset = pending
-  // charges) and the exit → joiner wake (loop context, cur_ = the exiting
-  // child whose final span the joiner inherits).
-  DFTH_PROF_WAKE(cur_ ? cur_->id : 0, t->id, in_fiber_ ? pend_total_ns() : 0);
-  t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-  t->ready_at_ns = vnow_ns();
-  sched_->on_ready(t, cur_proc_ >= 0 ? cur_proc_ : 0);
+  // Covers both sync-object wakes (fiber context) and the exit → joiner wake
+  // (loop context, cur_ = the exiting child whose final span the joiner
+  // inherits).
+  edges::on_wake(*this, t);
+  make_ready(t, vnow_ns(), lane());
   if (in_fiber_) charge(kSync, opts_.cost.sched_op_us);
 }
 
@@ -221,31 +198,22 @@ void SimEngine::charge_sync_op() {
   // Pause at every sync operation (see Ev::SyncPause): the loop will resume
   // this fiber once its processor is again the earliest, so the operation's
   // effect lands in virtual-time order relative to other threads' sync ops.
-  ev_ = Ev::SyncPause;
-  switch_to_loop();
+  switch_to_loop(Ev::SyncPause);
 }
 
 void SimEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
   charge(kMem, opts_.cost.malloc_us(bytes, fresh_bytes));
   heap_events_.emplace_back(vnow_ns(), static_cast<std::int64_t>(bytes));
-  DFTH_TRACE_ALLOC_EVENT(cur_proc_ >= 0 ? cur_proc_ : 0, obs::EvKind::Alloc,
-                         cur_ ? cur_->id : 0, bytes);
-  if (sched_->needs_quota() && in_fiber_) {
-    cur_->quota -= static_cast<std::int64_t>(bytes);
-    if (cur_->quota <= 0) {
-      // §4 item 2: "when the counter reaches zero, the thread is preempted."
-      DFTH_TRACE_EMIT(cur_proc_, obs::EvKind::QuotaExhaust, cur_->id, bytes);
-      ev_ = Ev::QuotaPreempt;
-      switch_to_loop();
-    }
+  edges::on_heap(*this, static_cast<std::int64_t>(bytes));
+  if (sched_->needs_quota() && in_fiber_ && charge_quota(cur_, bytes)) {
+    switch_to_loop(Ev::QuotaPreempt);
   }
 }
 
 void SimEngine::on_free(std::size_t bytes) {
   charge(kMem, opts_.cost.free_base_us);
   heap_events_.emplace_back(vnow_ns(), -static_cast<std::int64_t>(bytes));
-  DFTH_TRACE_ALLOC_EVENT(cur_proc_ >= 0 ? cur_proc_ : 0, obs::EvKind::Free,
-                         cur_ ? cur_->id : 0, bytes);
+  edges::on_heap(*this, -static_cast<std::int64_t>(bytes));
 }
 
 bool SimEngine::on_alloc_failed(std::size_t bytes, int attempt) {
@@ -259,8 +227,7 @@ bool SimEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   // frees to land.
   charge(kMem, opts_.cost.free_base_us *
                    static_cast<double>(1u << std::min(attempt, 10)));
-  ev_ = Ev::OomPreempt;
-  switch_to_loop();
+  switch_to_loop(Ev::OomPreempt);
   return true;
 }
 
@@ -291,27 +258,26 @@ void SimEngine::touch(const std::uint32_t* block_ids, std::size_t count) {
 
 // -- simulated stack pool ---------------------------------------------------
 
-double SimEngine::sim_stack_acquire_us(std::size_t bytes) {
+double SimEngine::sim_stack_acquire_us(const Tcb* t) {
+  const std::size_t bytes = t->attr.stack_size;
   sim_stack_live_ += static_cast<std::int64_t>(bytes);
   auto it = sim_stack_pool_.find(bytes);
+  const bool fresh = it == sim_stack_pool_.end() || it->second == 0;
   double us;
-  if (it != sim_stack_pool_.end() && it->second > 0) {
+  if (!fresh) {
     // A cached stack is already mapped and touched; its footprint simply
     // moves from the pool back to a live thread.
     --it->second;
     sim_stack_pooled_ -= static_cast<std::int64_t>(bytes);
     ++stats_.stacks_reused;
-    DFTH_TRACE_EMIT(cur_proc_ >= 0 ? cur_proc_ : 0, obs::EvKind::StackReuse,
-                    cur_ ? cur_->id : 0, bytes);
     us = opts_.cost.stack_pooled_us;
   } else {
     ++stats_.stacks_fresh;
     sim_stack_touched_ += static_cast<std::int64_t>(
         std::min(bytes, opts_.cost.stack_touched_cap));
-    DFTH_TRACE_EMIT(cur_proc_ >= 0 ? cur_proc_ : 0, obs::EvKind::StackFresh,
-                    cur_ ? cur_->id : 0, bytes);
     us = opts_.cost.stack_fresh_us(bytes);
   }
+  edges::on_stack(*this, t, fresh, bytes);
   sim_stack_peak_ = std::max(sim_stack_peak_, sim_stack_live_ + sim_stack_pooled_);
   return us;
 }
@@ -350,16 +316,14 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   live_ = 1;
   stats_.threads_created = 1;
   live_events_.emplace_back(0, +1);
-  sim_stack_acquire_us(main->attr.stack_size);  // cost of the first stack: free
+  sim_stack_acquire_us(main);  // cost of the first stack: free
   sched_->register_thread(nullptr, main);
   // Single host thread: recording needs no gates here or below — commits
   // merely stamp the (already deterministic) decision order into the log so
   // a Sim log can be inspected and cross-replayed like a Real one.
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
                      ::dfth::replay::kActorHost, main->id, 0);
-  main->state.store(ThreadState::Ready, std::memory_order_relaxed);
-  main->ready_at_ns = 0;
-  sched_->on_ready(main, 0);
+  make_ready(main, 0, 0);
 
   sim_loop();
 
@@ -494,8 +458,6 @@ void SimEngine::sim_loop() {
       in_fiber_ = true;
       for (auto& p : pend_ns_) p = 0;
       ev_ = Ev::None;
-      ev_child_ = nullptr;
-      ev_guard_ = nullptr;
 
       context_switch(&loop_ctx_, &cur_->ctx);
 
@@ -531,7 +493,7 @@ void SimEngine::apply_pending(VProc& vp) {
   // Everything a fiber charged between scheduling points is pure fiber time:
   // it is the profiler's "work" (advances span too), as opposed to the
   // loop-side clock advances below, which are scheduler overhead.
-  DFTH_PROF_WORK(vp.running->id, pend_total_ns());
+  edges::on_work(vp.running->id, pend_total_ns());
   vp.clock_ns += pend_ns_[kWork] + pend_ns_[kThread] + pend_ns_[kMem] + pend_ns_[kSync];
   vp.bd.work_us += ns_to_us(pend_ns_[kWork]);
   vp.bd.thread_us += ns_to_us(pend_ns_[kThread]);
@@ -567,19 +529,19 @@ void SimEngine::sched_lock_acquire(VProc& vp, int proc) {
   if (start + op > lock_free) lock_free = start + op;
 }
 
-void SimEngine::make_ready(VProc& vp, int pid, Tcb* t) {
-  t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-  t->ready_at_ns = vp.clock_ns;
-  sched_->on_ready(t, pid);
+void SimEngine::preempt(VProc& vp, int pid, Tcb* t, std::uint64_t reason) {
+  make_ready(t, vp.clock_ns, pid);
+  DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Preempt, vp.clock_ns, t->id, reason);
 }
 
 void SimEngine::attempt_dispatch(VProc& vp, int pid) {
   // Keep the loop clock fresh: schedulers emit Steal events from inside
   // pick_next through the tracer clock, which reads loop_now_ns_ here.
   loop_now_ns_ = vp.clock_ns;
+  cur_proc_ = pid;  // the lane of the edges crossed below
   const std::uint64_t fire_t0 = vp.clock_ns;
   fire_due_sleepers(vp, pid);
-  DFTH_PROF_OVERHEAD(0, vp.clock_ns - fire_t0);
+  edges::on_overhead(0, vp.clock_ns - fire_t0);
   std::uint64_t earliest = kInf;
   Tcb* t = sched_->pick_next(pid, vp.clock_ns, &earliest);
   if (t) {
@@ -594,8 +556,7 @@ void SimEngine::attempt_dispatch(VProc& vp, int pid) {
     // The lane's accumulated idle time is this dispatch's gap; it burdens
     // the fiber (an ideal scheduler would have run it sooner) and must be
     // consumed whether or not a profiler is installed.
-    DFTH_PROF_DISPATCH(t->id, vp.clock_ns - disp_t0, vp.pending_gap_ns);
-    DFTH_HIST(obs::Hist::DispatchGapNs, vp.pending_gap_ns);
+    edges::on_dispatch(t, vp.clock_ns - disp_t0, vp.pending_gap_ns);
     vp.pending_gap_ns = 0;
     vp.running = t;
     return;
@@ -629,7 +590,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
                                                  : opts_.cost.create_unbound_us;
       vp.clock_ns += us_to_ns(create_us);
       vp.bd.thread_us += create_us;
-      const double stack_us = sim_stack_acquire_us(child->attr.stack_size);
+      const double stack_us = sim_stack_acquire_us(child);
       vp.clock_ns += us_to_ns(stack_us);
       vp.bd.mem_us += stack_us;
 
@@ -642,37 +603,27 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       ++stats_.threads_created;
       if (child->is_dummy) ++stats_.dummy_threads;
       live_events_.emplace_back(vp.clock_ns, +1);
-      // Fork edge: the child inherits the parent's span as of the fork
-      // instant (the parent's charges were applied before this event, so no
-      // pending offset), and carries the observed creation cost as burden.
-      DFTH_PROF_THREAD_START(child->id, parent->id, 0, child->site_file,
-                             child->site_line);
-      DFTH_PROF_FORK_COST(child->id, vp.clock_ns - fork_t0);
+      edges::on_fork_cost(child, vp.clock_ns - fork_t0);
 
       if (preempt_parent) {
         // AsyncDF / work stealing: the processor dives into the child.
-        make_ready(vp, pid, parent);
-        DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Preempt, vp.clock_ns, parent->id,
-                           obs::kPreemptForkDive);
+        preempt(vp, pid, parent, obs::kPreemptForkDive);
         child->ready_at_ns = vp.clock_ns;
         vp.running = child;
         vp.clock_ns += us_to_ns(opts_.cost.ctx_switch_us);
         vp.bd.thread_us += opts_.cost.ctx_switch_us;
         loop_now_ns_ = vp.clock_ns;
         grant_dispatch(child, pid, ::dfth::replay::kDispatchForkDive);
-        DFTH_PROF_DISPATCH(child->id, us_to_ns(opts_.cost.ctx_switch_us), 0);
+        edges::on_dispatch(child, us_to_ns(opts_.cost.ctx_switch_us), std::nullopt);
       } else {
         // FIFO / LIFO: the child waits its turn; the parent continues.
-        child->state.store(ThreadState::Ready, std::memory_order_relaxed);
-        child->ready_at_ns = vp.clock_ns;
-        sched_->on_ready(child, pid);
+        make_ready(child, vp.clock_ns, pid);
       }
       break;
     }
 
     case Ev::Exit: {
       Tcb* t = vp.running;
-      audit_exit(t);
       const std::uint64_t exit_t0 = vp.clock_ns;
       sched_lock_acquire(vp, pid);
       sched_->unregister_thread(t);
@@ -684,13 +635,11 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       StackPool::instance().release(t->stack);
       t->stack = Stack{};
       sim_stack_release(t->attr.stack_size);
-      DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Exit, vp.clock_ns, t->id, 0);
-      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::ExitSched, t->id, t->id, 0);
-      DFTH_PROF_OVERHEAD(t->id, vp.clock_ns - exit_t0);
-      // Finalize the span before the joiner wake below reads it.
-      DFTH_PROF_EXIT(t->id, 0);
       loop_now_ns_ = vp.clock_ns;
-      cur_proc_ = pid;
+      // Seals the span before the joiner wake below reads it.
+      edges::on_exit(*this, t);
+      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::ExitSched, t->id, t->id, 0);
+      edges::on_overhead(t->id, vp.clock_ns - exit_t0);
       if (t->joiner) {
         Tcb* j = t->joiner;
         t->joiner = nullptr;
@@ -704,7 +653,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
     case Ev::Block: {
       Tcb* t = vp.running;
       DFTH_CHECK(t->state.load(std::memory_order_relaxed) == ThreadState::Blocked);
-      DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Block, vp.clock_ns, t->id, 0);
+      edges::on_block(*this, t);
       if (ev_guard_) ev_guard_->unlock();
       vp.running = nullptr;
       break;
@@ -718,13 +667,12 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       vp.clock_ns += us_to_ns(opts_.cost.ctx_switch_us);
       vp.bd.thread_us += opts_.cost.ctx_switch_us;
       sched_lock_acquire(vp, pid);
-      DFTH_PROF_OVERHEAD(t->id, vp.clock_ns - pre_t0);
-      make_ready(vp, pid, t);
+      edges::on_overhead(t->id, vp.clock_ns - pre_t0);
       if (ev_ == Ev::QuotaPreempt) ++stats_.quota_preemptions;
-      DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Preempt, vp.clock_ns, t->id,
-                         ev_ == Ev::QuotaPreempt  ? obs::kPreemptQuota
-                         : ev_ == Ev::OomPreempt ? obs::kPreemptOom
-                                                 : obs::kPreemptYield);
+      preempt(vp, pid, t,
+              ev_ == Ev::QuotaPreempt  ? obs::kPreemptQuota
+              : ev_ == Ev::OomPreempt ? obs::kPreemptOom
+                                      : obs::kPreemptYield);
       vp.running = nullptr;
       break;
     }

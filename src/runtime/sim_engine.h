@@ -98,6 +98,9 @@ class SimEngine final : public Engine {
   static void fiber_entry(void* arg);
 
   int lane() const override { return cur_proc_ >= 0 ? cur_proc_ : 0; }
+  std::uint64_t span_offset_ns() const override {
+    return in_fiber_ ? pend_total_ns() : 0;
+  }
   std::vector<resil::FlightLane> flight_lanes() const override;
   void charge(Cat cat, double us);
   std::uint64_t vnow_ns() const;
@@ -106,7 +109,9 @@ class SimEngine final : public Engine {
   std::uint64_t pend_total_ns() const {
     return pend_ns_[kWork] + pend_ns_[kThread] + pend_ns_[kMem] + pend_ns_[kSync];
   }
-  void switch_to_loop();
+  /// Suspends the running fiber into the loop, which handles `ev` (and
+  /// unlocks `guard` once the fiber is off its processor, for Ev::Block).
+  void switch_to_loop(Ev ev, SpinLock* guard = nullptr);
   void fire_due_sleepers(VProc& vp, int pid);
 
   void sim_loop();
@@ -118,12 +123,13 @@ class SimEngine final : public Engine {
   /// charging lock wait to vp (paper §6: the global list's lock; the
   /// clustered scheduler gets one lock per SMP).
   void sched_lock_acquire(VProc& vp, int proc);
-  void make_ready(VProc& vp, int pid, Tcb* t);
+  /// Requeues the switched-out, still runnable t (a Preempt event).
+  void preempt(VProc& vp, int pid, Tcb* t, std::uint64_t reason);
   [[noreturn]] void report_deadlock();
 
   // Simulated stack pool (Solaris stack caching): maps simulated stack size
   // to the number of cached stacks; tracks mapped-bytes footprint.
-  double sim_stack_acquire_us(std::size_t bytes);
+  double sim_stack_acquire_us(const Tcb* t);
   void sim_stack_release(std::size_t bytes);
 
   /// Records a time-series sample (ready depth, stack footprint) if the

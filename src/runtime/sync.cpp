@@ -1,31 +1,9 @@
 #include "runtime/sync.h"
 
 #include "resil/faults.h"
+#include "runtime/edges.h"
 #include "runtime/engine.h"
 #include "util/check.h"
-
-// Lockset hooks (analyze/lock_graph.h): every acquire/release of a Mutex or
-// RwLock — write *and* read mode, since a shared hold blocks the next writer
-// under the writer-preferring discipline — is reported to the global
-// lock-order graph in DFTH_VALIDATE builds; release builds compile the hooks
-// away entirely.
-#if DFTH_VALIDATE
-#include "analyze/lock_graph.h"
-#define DFTH_LOCK_ACQUIRED(t, l) ::dfth::analyze::LockGraph::instance().on_acquire((t), (l))
-#define DFTH_LOCK_ACQUIRED_SHARED(t, l) \
-  ::dfth::analyze::LockGraph::instance().on_acquire_shared((t), (l))
-#define DFTH_LOCK_RELEASED(t, l) ::dfth::analyze::LockGraph::instance().on_release((t), (l))
-#else
-#define DFTH_LOCK_ACQUIRED(t, l) ((void)0)
-#define DFTH_LOCK_ACQUIRED_SHARED(t, l) ((void)0)
-#define DFTH_LOCK_RELEASED(t, l) ((void)0)
-#endif
-
-// Happens-before hooks (analyze/race_hooks.h, -DDFTH_RACE builds): every
-// primitive publishes release→acquire edges to the race detector. See the
-// placement contract in race_hooks.h — release-side and fast-path
-// acquire-side hooks run under the object's guard_.
-#include "analyze/race_hooks.h"
 
 // Record/replay hooks (replay/hooks.h): every guard_
 // critical section is one ordered decision. The SYNC_GATE runs before
@@ -36,255 +14,194 @@
 // function of that order plus the wait-list FIFO discipline).
 #include "replay/hooks.h"
 
-#define DFTH_SYNC_SECTION(op)                             \
-  DFTH_REPLAY_SYNC_GATE();                                \
-  guard_.lock();                                          \
-  DFTH_REPLAY_SYNC_COMMIT(this, ::dfth::replay::SyncOp::op)
+#define DFTH_SYNC_SECTION(op) \
+  DFTH_REPLAY_SYNC_GATE();      \
+  guard_.lock();                \
+  DFTH_REPLAY_SYNC_COMMIT(this, (op))
 
 namespace dfth {
+
+using detail::Wait;
+
 namespace {
 
-Engine* checked_engine() {
+/// Every operation's entry: the active engine, charged one sync op.
+Engine* enter() {
   Engine* e = engine();
   DFTH_CHECK_MSG(e, "synchronization primitive used outside dfth::run");
+  e->charge_sync_op();
   return e;
+}
+
+/// Releases `guard`, then wakes everyone the caller popped into `woken`.
+void wake_all(Engine* e, SpinLock& guard, WaitList& woken) {
+  guard.unlock();
+  while (Tcb* t = woken.pop()) e->wake(t);
+}
+
+/// A timed variant's entry probe of the sync.timeout fault site: an injected
+/// immediate timeout, which the caller's timeout path absorbs.
+bool timeout_injected() {
+  if (!DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) return false;
+  DFTH_FAULT_RECOVERED(resil::FaultSite::kSyncTimeout);
+  return true;
+}
+
+/// Protocol step 2: queue `cur` on `list` and mark it Blocked (guard held).
+void enqueue(WaitList& list, Tcb* cur) {
+  list.push(cur);
+  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
+}
+
+/// The slow path of every acquire, entered with `guard` held while `obj` is
+/// taken. A try fails at once. Otherwise protocol steps 2–3: queue `cur` on
+/// `list`, hand `guard` to the engine and block until a releaser hands `obj`
+/// over and wakes us, then cross the acquire edge the releaser ordered under
+/// the guard before the wake (so this one needs no guard). With
+/// Wait::kTimed the timer may win instead: the engine took us off `list`, no
+/// handoff happened, we synchronized with nobody, and this returns false.
+bool wait_for_handoff(Engine* e, Tcb* cur, SpinLock& guard, WaitList& list,
+                      Wait wait, std::uint64_t timeout_ns, const void* obj,
+                      edges::Mode mode) {
+  if (wait == Wait::kTry) {
+    guard.unlock();
+    return false;
+  }
+  enqueue(list, cur);
+  if (wait == Wait::kTimed) {
+    e->block_current_timed(&guard, &list, timeout_ns);
+    const bool timed_out = cur->timed_out;
+    cur->timed_out = false;
+    if (timed_out) return false;
+  } else {
+    e->block_current(&guard);
+  }
+  edges::on_acquire(obj, mode);
+  return true;
 }
 
 }  // namespace
 
-// Destructors only unbind the object from the record/replay schedule log:
+// Destruction only unbinds the object from the record/replay schedule log:
 // arena-per-phase apps destroy a whole tree of primitives and rebuild at the
 // recycled addresses, and a stale address→id binding would name the new
 // object with its corpse's id (record and replay recycle memory in different
 // orders, so the conflation diverges). Destroying a primitive with waiters
-// is still UB, exactly as for pthreads.
-Mutex::~Mutex() { DFTH_REPLAY_SYNC_DESTROY(this); }
-CondVar::~CondVar() { DFTH_REPLAY_SYNC_DESTROY(this); }
-Semaphore::~Semaphore() { DFTH_REPLAY_SYNC_DESTROY(this); }
-Barrier::~Barrier() { DFTH_REPLAY_SYNC_DESTROY(this); }
-RwLock::~RwLock() { DFTH_REPLAY_SYNC_DESTROY(this); }
+// is still UB, exactly as for pthreads. The base sits at offset 0, so
+// `this` is the primitive's own address.
+detail::SyncObject::~SyncObject() { DFTH_REPLAY_SYNC_DESTROY(this); }
 
 // -- Mutex --------------------------------------------------------------------
 
-void Mutex::lock() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(MutexLock);
-  Tcb* cur = e->current();
-  if (owner_ == nullptr) {
-    owner_ = cur;
-    DFTH_RACE_ACQUIRE(cur, this);
-    guard_.unlock();
-    DFTH_LOCK_ACQUIRED(cur, this);
-    return;
-  }
-  DFTH_CHECK_MSG(owner_ != cur, "recursive Mutex::lock");
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current(&guard_);
-  // unlock() handed ownership to us before waking (and recorded its release
-  // clock under the guard, so this acquire needs no guard).
-  DFTH_RACE_ACQUIRE(cur, this);
-  DFTH_LOCK_ACQUIRED(cur, this);
+void Mutex::lock() { acquire(Wait::kBlock, 0, replay::SyncOp::MutexLock); }
+bool Mutex::try_lock() { return acquire(Wait::kTry, 0, replay::SyncOp::MutexTryLock); }
+bool Mutex::try_lock_for(std::uint64_t timeout_ns) {
+  return acquire(Wait::kTimed, timeout_ns, replay::SyncOp::MutexTryLockFor);
 }
 
-bool Mutex::try_lock_for(std::uint64_t timeout_ns) {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  if (DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) {
-    // Injected immediate timeout; the caller's timeout path absorbs it.
-    DFTH_FAULT_RECOVERED(resil::FaultSite::kSyncTimeout);
-    return false;
-  }
-  DFTH_SYNC_SECTION(MutexTryLockFor);
+bool Mutex::acquire(Wait wait, std::uint64_t timeout_ns, replay::SyncOp op) {
+  Engine* e = enter();
+  if (wait == Wait::kTimed && timeout_injected()) return false;
+  DFTH_SYNC_SECTION(op);
   Tcb* cur = e->current();
   if (owner_ == nullptr) {
     owner_ = cur;
-    DFTH_RACE_ACQUIRE(cur, this);
+    edges::on_acquire(this, edges::Mode::kExcl);
     guard_.unlock();
-    DFTH_LOCK_ACQUIRED(cur, this);
     return true;
   }
-  DFTH_CHECK_MSG(owner_ != cur, "recursive Mutex::try_lock_for");
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current_timed(&guard_, &waiters_, timeout_ns);
-  const bool timed_out = cur->timed_out;
-  cur->timed_out = false;
-  if (timed_out) return false;
-  // unlock() handed ownership to us before waking; the timer lost the claim
-  // (we were already off the wait list), so only this path takes the
-  // release→acquire edge — the race detector stays schedule-insensitive.
-  DFTH_RACE_ACQUIRE(cur, this);
-  DFTH_LOCK_ACQUIRED(cur, this);
-  return true;
-}
-
-bool Mutex::try_lock() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(MutexTryLock);
-  if (owner_ != nullptr) {
-    guard_.unlock();
-    return false;
-  }
-  owner_ = e->current();
-  DFTH_RACE_ACQUIRE(owner_, this);
-  guard_.unlock();
-  DFTH_LOCK_ACQUIRED(e->current(), this);
-  return true;
+  DFTH_CHECK_MSG(wait == Wait::kTry || owner_ != cur, "recursive Mutex::lock");
+  // unlock() hands ownership to us before waking.
+  return wait_for_handoff(e, cur, guard_, waiters_, wait, timeout_ns, this,
+                          edges::Mode::kExcl);
 }
 
 void Mutex::unlock() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(MutexUnlock);
+  Engine* e = enter();
+  DFTH_SYNC_SECTION(replay::SyncOp::MutexUnlock);
   DFTH_CHECK_MSG(owner_ == e->current(), "Mutex::unlock by non-owner");
-  DFTH_RACE_RELEASE(e->current(), this);
+  edges::on_release(this, edges::Mode::kExcl);
   Tcb* next = waiters_.pop();
   owner_ = next;  // direct handoff keeps the queue FIFO-fair
   guard_.unlock();
-  DFTH_LOCK_RELEASED(e->current(), this);
   if (next) e->wake(next);
 }
 
 // -- CondVar --------------------------------------------------------------------
 
-void CondVar::wait(Mutex& m) {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  Tcb* cur = e->current();
-  DFTH_CHECK_MSG(m.held_by(cur), "CondVar::wait caller does not hold the mutex");
-  // The m.unlock() below commits its own nested MutexUnlock while this
-  // CvWait section still holds guard_ — safe: no other actor's event on this
-  // CondVar can sit between the two in the log (it would have needed guard_).
-  DFTH_SYNC_SECTION(CvWait);
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  // Release the user mutex only after we are on the wait list (we still hold
-  // guard_, so a signaler cannot pop-and-wake us before we finish blocking —
-  // no lost-wakeup window).
-  m.unlock();
-  e->block_current(&guard_);
-  // Re-fetch the engine: we may resume on another kernel thread.
-  engine()->current();  // (no-op read; documents the refetch discipline)
-  // signal()/broadcast() recorded the signaler's clock before waking us.
-  DFTH_RACE_ACQUIRE(cur, this);
-  m.lock();
-}
+void CondVar::wait(Mutex& m) { wait_for(m, Wait::kBlock, 0, replay::SyncOp::CvWait); }
 
 bool CondVar::timed_wait(Mutex& m, std::uint64_t timeout_ns) {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
+  return wait_for(m, Wait::kTimed, timeout_ns, replay::SyncOp::CvTimedWait);
+}
+
+bool CondVar::wait_for(Mutex& m, Wait wait, std::uint64_t timeout_ns,
+                       replay::SyncOp op) {
+  Engine* e = enter();
   Tcb* cur = e->current();
-  DFTH_CHECK_MSG(m.held_by(cur),
-                 "CondVar::timed_wait caller does not hold the mutex");
-  if (DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) {
-    // Injected immediate timeout: the mutex is never released, exactly as
-    // if the deadline expired before the wait began.
-    DFTH_FAULT_RECOVERED(resil::FaultSite::kSyncTimeout);
-    return false;
-  }
-  DFTH_SYNC_SECTION(CvTimedWait);
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
+  DFTH_CHECK_MSG(m.held_by(cur), "CondVar::wait caller does not hold the mutex");
+  // An injected timeout never releases the mutex, exactly as if the deadline
+  // expired before the wait began.
+  if (wait == Wait::kTimed && timeout_injected()) return false;
+  // The m.unlock() below commits its own nested MutexUnlock while this
+  // section still holds guard_ — safe: no other actor's event on this
+  // CondVar can sit between the two in the log (it would have needed guard_).
+  DFTH_SYNC_SECTION(op);
+  // We hold guard_ from before releasing the user mutex until the engine
+  // has saved our context on the wait list, so a signaler cannot
+  // pop-and-wake us before we finish blocking — no lost-wakeup window.
   m.unlock();
-  e->block_current_timed(&guard_, &waiters_, timeout_ns);
-  const bool timed_out = cur->timed_out;
-  cur->timed_out = false;
-  // Only a genuine signal carries the signaler's release→acquire edge; a
-  // timeout synchronizes with nobody.
-  if (!timed_out) DFTH_RACE_ACQUIRE(cur, this);
+  const bool signalled = wait_for_handoff(e, cur, guard_, waiters_, wait, timeout_ns,
+                                          this, edges::Mode::kCv);
   m.lock();
-  return !timed_out;
+  return signalled;
 }
 
-void CondVar::signal() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(CvSignal);
-  DFTH_RACE_RELEASE(e->current(), this);
-  Tcb* t = waiters_.pop();
-  guard_.unlock();
-  if (t) e->wake(t);
-}
+void CondVar::signal() { notify(replay::SyncOp::CvSignal); }
+void CondVar::broadcast() { notify(replay::SyncOp::CvBroadcast); }
 
-void CondVar::broadcast() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(CvBroadcast);
-  DFTH_RACE_RELEASE(e->current(), this);
+void CondVar::notify(replay::SyncOp op) {
+  Engine* e = enter();
+  DFTH_SYNC_SECTION(op);
+  edges::on_release(this, edges::Mode::kCv);
   WaitList woken;
-  while (Tcb* t = waiters_.pop()) woken.push(t);
-  guard_.unlock();
-  while (Tcb* t = woken.pop()) e->wake(t);
+  if (op == replay::SyncOp::CvBroadcast) {
+    while (Tcb* t = waiters_.pop()) woken.push(t);
+  } else if (Tcb* t = waiters_.pop()) {
+    woken.push(t);
+  }
+  wake_all(e, guard_, woken);
 }
 
 // -- Semaphore ----------------------------------------------------------------
 
-void Semaphore::acquire() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(SemAcquire);
-  Tcb* cur = e->current();
-  if (count_ > 0) {
-    --count_;
-    DFTH_RACE_ACQUIRE(cur, this);
-    guard_.unlock();
-    return;
-  }
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current(&guard_);
-  // release() transferred one unit directly to us (V→P edge recorded under
-  // the guard before the wake).
-  DFTH_RACE_ACQUIRE(cur, this);
-}
-
+void Semaphore::acquire() { acquire(Wait::kBlock, 0, replay::SyncOp::SemAcquire); }
 bool Semaphore::try_acquire() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(SemTryAcquire);
-  const bool ok = count_ > 0;
-  if (ok) {
-    --count_;
-    DFTH_RACE_ACQUIRE(e->current(), this);
-  }
-  guard_.unlock();
-  return ok;
+  return acquire(Wait::kTry, 0, replay::SyncOp::SemTryAcquire);
+}
+bool Semaphore::try_acquire_for(std::uint64_t timeout_ns) {
+  return acquire(Wait::kTimed, timeout_ns, replay::SyncOp::SemTryAcquireFor);
 }
 
-bool Semaphore::try_acquire_for(std::uint64_t timeout_ns) {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  if (DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) {
-    DFTH_FAULT_RECOVERED(resil::FaultSite::kSyncTimeout);
-    return false;
-  }
-  DFTH_SYNC_SECTION(SemTryAcquireFor);
-  Tcb* cur = e->current();
+bool Semaphore::acquire(Wait wait, std::uint64_t timeout_ns, replay::SyncOp op) {
+  Engine* e = enter();
+  if (wait == Wait::kTimed && timeout_injected()) return false;
+  DFTH_SYNC_SECTION(op);
   if (count_ > 0) {
     --count_;
-    DFTH_RACE_ACQUIRE(cur, this);
+    edges::on_acquire(this, edges::Mode::kSem);
     guard_.unlock();
     return true;
   }
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current_timed(&guard_, &waiters_, timeout_ns);
-  const bool timed_out = cur->timed_out;
-  cur->timed_out = false;
-  if (timed_out) return false;
-  // release() transferred one unit directly to us (V→P edge).
-  DFTH_RACE_ACQUIRE(cur, this);
-  return true;
+  // release() transfers one unit directly to a woken waiter.
+  return wait_for_handoff(e, e->current(), guard_, waiters_, wait, timeout_ns, this,
+                          edges::Mode::kSem);
 }
 
 void Semaphore::release() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(SemRelease);
-  DFTH_RACE_RELEASE(e->current(), this);
+  Engine* e = enter();
+  DFTH_SYNC_SECTION(replay::SyncOp::SemRelease);
+  edges::on_release(this, edges::Mode::kSem);
   Tcb* t = waiters_.pop();
   if (!t) ++count_;
   guard_.unlock();
@@ -294,131 +211,78 @@ void Semaphore::release() {
 // -- Barrier --------------------------------------------------------------------
 
 void Barrier::arrive_and_wait() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(BarrierArrive);
+  Engine* e = enter();
+  DFTH_SYNC_SECTION(replay::SyncOp::BarrierArrive);
   Tcb* cur = e->current();
   const std::uint64_t gen = generation_.load(std::memory_order_relaxed);
-  if (++arrived_ == parties_) {
+  const bool last = ++arrived_ == parties_;
+  // Every arrival records its clock under the guard; the last one seals
+  // generation `gen` as an all-to-all edge and inherits it at once.
+  edges::on_release(this, edges::Mode::kBarrier, gen, last);
+  if (last) {
     arrived_ = 0;
     generation_.fetch_add(1, std::memory_order_release);
-    // Every earlier arrival recorded its clock under the guard; the `last`
-    // arrival seals generation `gen` as an all-to-all edge and inherits it
-    // immediately (it never blocks).
-    DFTH_RACE_BARRIER_ARRIVE(cur, this, gen, /*last=*/true);
-    DFTH_RACE_BARRIER_LEAVE(cur, this, gen);
+    edges::on_acquire(this, edges::Mode::kBarrier, gen);
     WaitList woken;
     while (Tcb* t = waiters_.pop()) woken.push(t);
-    guard_.unlock();
-    while (Tcb* t = woken.pop()) e->wake(t);
+    wake_all(e, guard_, woken);
     return;
   }
-  DFTH_RACE_BARRIER_ARRIVE(cur, this, gen, /*last=*/false);
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
+  enqueue(waiters_, cur);
   e->block_current(&guard_);
-  DFTH_RACE_BARRIER_LEAVE(cur, this, gen);
+  edges::on_acquire(this, edges::Mode::kBarrier, gen);
 }
 
 // -- RwLock ----------------------------------------------------------------------
 
-void RwLock::rdlock() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwRdLock);
-  Tcb* cur = e->current();
-  if (!writer_ && waiting_writers_ == 0) {
-    ++readers_;
-    DFTH_RACE_RD_ACQUIRE(cur, this);
-    guard_.unlock();
-    DFTH_LOCK_ACQUIRED_SHARED(cur, this);
-    return;
-  }
-  read_waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current(&guard_);
-  // The releasing thread counted us into readers_ before waking us.
-  DFTH_RACE_RD_ACQUIRE(cur, this);
-  DFTH_LOCK_ACQUIRED_SHARED(cur, this);
-}
-
+void RwLock::rdlock() { acquire(/*write=*/false, Wait::kBlock, replay::SyncOp::RwRdLock); }
 bool RwLock::try_rdlock() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwTryRdLock);
-  const bool ok = !writer_ && waiting_writers_ == 0;
-  if (ok) {
-    ++readers_;
-    DFTH_RACE_RD_ACQUIRE(e->current(), this);
-  }
-  guard_.unlock();
-  if (ok) DFTH_LOCK_ACQUIRED_SHARED(e->current(), this);
-  return ok;
+  return acquire(/*write=*/false, Wait::kTry, replay::SyncOp::RwTryRdLock);
+}
+void RwLock::wrlock() { acquire(/*write=*/true, Wait::kBlock, replay::SyncOp::RwWrLock); }
+bool RwLock::try_wrlock() {
+  return acquire(/*write=*/true, Wait::kTry, replay::SyncOp::RwTryWrLock);
 }
 
-void RwLock::rdunlock() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwRdUnlock);
-  DFTH_CHECK_MSG(readers_ > 0, "rdunlock without rdlock");
-  --readers_;
-  DFTH_RACE_RD_RELEASE(e->current(), this);
-  DFTH_LOCK_RELEASED(e->current(), this);
-  if (readers_ == 0 && !writer_) {
-    release_to_next();
-    return;  // release_to_next unlocked the guard
-  }
-  guard_.unlock();
-}
-
-void RwLock::wrlock() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwWrLock);
-  Tcb* cur = e->current();
-  if (!writer_ && readers_ == 0) {
-    writer_ = true;
-    DFTH_RACE_WR_ACQUIRE(cur, this);
+bool RwLock::acquire(bool write, Wait wait, replay::SyncOp op) {
+  Engine* e = enter();
+  DFTH_SYNC_SECTION(op);
+  const edges::Mode mode = write ? edges::Mode::kExcl : edges::Mode::kShared;
+  if (write ? !writer_ && readers_ == 0 : !writer_ && waiting_writers_ == 0) {
+    if (write) {
+      writer_ = true;
+    } else {
+      ++readers_;
+    }
+    edges::on_acquire(this, mode);
     guard_.unlock();
-    DFTH_LOCK_ACQUIRED(cur, this);
+    return true;
+  }
+  if (write && wait != Wait::kTry) ++waiting_writers_;
+  // The releasing thread sets writer_ (or counts us into readers_) on our
+  // behalf before waking us.
+  return wait_for_handoff(e, e->current(), guard_, write ? write_waiters_ : read_waiters_,
+                          wait, 0, this, mode);
+}
+
+void RwLock::rdunlock() { release(/*write=*/false, replay::SyncOp::RwRdUnlock); }
+void RwLock::wrunlock() { release(/*write=*/true, replay::SyncOp::RwWrUnlock); }
+
+void RwLock::release(bool write, replay::SyncOp op) {
+  Engine* e = enter();
+  DFTH_SYNC_SECTION(op);
+  if (write) {
+    DFTH_CHECK_MSG(writer_, "wrunlock without wrlock");
+    writer_ = false;
+  } else {
+    DFTH_CHECK_MSG(readers_ > 0, "rdunlock without rdlock");
+    --readers_;
+  }
+  edges::on_release(this, write ? edges::Mode::kExcl : edges::Mode::kShared);
+  if (readers_ != 0 || writer_) {
+    guard_.unlock();
     return;
   }
-  ++waiting_writers_;
-  write_waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current(&guard_);
-  // The releasing thread set writer_ = true on our behalf.
-  DFTH_RACE_WR_ACQUIRE(cur, this);
-  DFTH_LOCK_ACQUIRED(cur, this);
-}
-
-bool RwLock::try_wrlock() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwTryWrLock);
-  const bool ok = !writer_ && readers_ == 0;
-  if (ok) {
-    writer_ = true;
-    DFTH_RACE_WR_ACQUIRE(e->current(), this);
-  }
-  guard_.unlock();
-  if (ok) DFTH_LOCK_ACQUIRED(e->current(), this);
-  return ok;
-}
-
-void RwLock::wrunlock() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwWrUnlock);
-  DFTH_CHECK_MSG(writer_, "wrunlock without wrlock");
-  writer_ = false;
-  DFTH_RACE_RELEASE(e->current(), this);
-  DFTH_LOCK_RELEASED(e->current(), this);
-  release_to_next();
-}
-
-void RwLock::release_to_next() {
-  Engine* e = engine();
   // Prefer a waiting writer (writer-preferring discipline)...
   if (Tcb* w = write_waiters_.pop()) {
     --waiting_writers_;
@@ -433,8 +297,7 @@ void RwLock::release_to_next() {
     ++readers_;
     woken.push(r);
   }
-  guard_.unlock();
-  while (Tcb* r = woken.pop()) e->wake(r);
+  wake_all(e, guard_, woken);
 }
 
 // -- Once ------------------------------------------------------------------------
@@ -448,20 +311,16 @@ void Once::call(const std::function<void()>& fn) {
   // line up.
   if (::dfth::replay::active() == nullptr &&
       done_.load(std::memory_order_acquire)) {
-#if DFTH_RACE
     // Fast-path observers synchronize with the runner through done_ alone
     // (no mutex), so the run→observe edge must be inherited here too. The
-    // release clock is recorded before the store that made done_ visible.
-    if (Engine* e = engine()) {
-      if (Tcb* cur = e->current()) DFTH_RACE_ACQUIRE(cur, this);
-    }
-#endif
+    // release edge is crossed before the store that made done_ visible.
+    edges::on_acquire(this, edges::Mode::kSem);
     return;
   }
   LockGuard lock(m_);
   if (!done_.load(std::memory_order_relaxed)) {
     fn();
-    DFTH_RACE_RELEASE(engine()->current(), this);
+    edges::on_release(this, edges::Mode::kSem);
     done_.store(true, std::memory_order_release);
   }
   // Slow-path observers inherit the runner's clock through m_'s own

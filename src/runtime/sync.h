@@ -11,6 +11,13 @@
 //      after the blocking thread's context is fully saved,
 //   4. a releasing thread pops a waiter under the guard and Engine::wake()s
 //      it.
+// Each primitive has one acquire body: lock/try_lock/try_lock_for (and
+// acquire/try_*, wait/timed_wait, the four RwLock entries) differ only in
+// how they wait when the object is taken (detail::Wait). Every body crosses
+// one acquire edge and every release one release edge of the edge spine
+// (runtime/edges.h), which feeds the race detector and the lock graph; the
+// spine header holds the placement contract (release and fast-path acquire
+// edges under guard_, a blocked acquirer's edge after it is woken).
 // Blocked threads keep their placeholder in the AsyncDF ordered list, so
 // blocking composes with the space-efficient scheduler exactly as the paper
 // describes. Bound threads use the same code; the engine parks them on the
@@ -26,17 +33,34 @@
 
 namespace dfth {
 
-/// pthread_mutex_t equivalent. Non-recursive; FIFO handoff to waiters.
-class Mutex {
- public:
-  Mutex() = default;
-  /// Unbinds the address from the record/replay schedule log (the allocator
-  /// may recycle it for a new primitive within the same run). Same for every
-  /// primitive below.
-  ~Mutex();
-  Mutex(const Mutex&) = delete;
-  Mutex& operator=(const Mutex&) = delete;
+namespace replay {
+enum class SyncOp : std::uint64_t;
+}
 
+namespace detail {
+/// How an acquire waits while the object is taken: not at all (try_*),
+/// until woken, or until woken or a deadline passes (*_for, timed_wait).
+enum class Wait : std::uint8_t { kTry, kBlock, kTimed };
+
+/// The part every blocking primitive shares: the guard of the protocol
+/// above, and a destructor that unbinds the object's address from the
+/// record/replay schedule log (the allocator may recycle it for a new
+/// primitive within the same run). Non-copyable, like its pthreads
+/// counterparts.
+class SyncObject {
+ protected:
+  SyncObject() = default;
+  ~SyncObject();
+  SyncObject(const SyncObject&) = delete;
+  SyncObject& operator=(const SyncObject&) = delete;
+
+  SpinLock guard_;
+};
+}  // namespace detail
+
+/// pthread_mutex_t equivalent. Non-recursive; FIFO handoff to waiters.
+class Mutex : detail::SyncObject {
+ public:
   void lock();
   bool try_lock();
   /// lock() with a deadline: returns true if the mutex was acquired within
@@ -57,7 +81,8 @@ class Mutex {
   bool held_by(const Tcb* t) const { return owner_ == t; }
 
  private:
-  SpinLock guard_;
+  bool acquire(detail::Wait wait, std::uint64_t timeout_ns, replay::SyncOp op);
+
   Tcb* owner_ = nullptr;
   WaitList waiters_;
 };
@@ -75,13 +100,8 @@ class LockGuard {
 };
 
 /// pthread_cond_t equivalent.
-class CondVar {
+class CondVar : detail::SyncObject {
  public:
-  CondVar() = default;
-  ~CondVar();
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
   /// Atomically releases `m` and blocks; reacquires `m` before returning.
   void wait(Mutex& m);
 
@@ -102,18 +122,19 @@ class CondVar {
   void broadcast();
 
  private:
-  SpinLock guard_;
+  bool wait_for(Mutex& m, detail::Wait wait, std::uint64_t timeout_ns,
+                replay::SyncOp op);
+  /// signal() or broadcast(), as `op` says.
+  void notify(replay::SyncOp op);
+
   WaitList waiters_;
 };
 
 /// Counting semaphore (sema_t equivalent; Figure 3 measures its pair-sync
 /// cost).
-class Semaphore {
+class Semaphore : detail::SyncObject {
  public:
   explicit Semaphore(int initial = 0) : count_(initial) {}
-  ~Semaphore();
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
 
   void acquire();       ///< P: decrement or block
   bool try_acquire();
@@ -125,19 +146,17 @@ class Semaphore {
   int value() const { return count_; }
 
  private:
-  SpinLock guard_;
+  bool acquire(detail::Wait wait, std::uint64_t timeout_ns, replay::SyncOp op);
+
   int count_ = 0;
   WaitList waiters_;
 };
 
 /// pthread_barrier_t equivalent (the coarse-grained SPLASH-2 codes
 /// synchronize phases with one of these).
-class Barrier {
+class Barrier : detail::SyncObject {
  public:
   explicit Barrier(int parties) : parties_(parties) {}
-  ~Barrier();
-  Barrier(const Barrier&) = delete;
-  Barrier& operator=(const Barrier&) = delete;
 
   /// Blocks until `parties` threads have arrived; the generation then flips
   /// and the barrier is immediately reusable.
@@ -152,7 +171,6 @@ class Barrier {
   }
 
  private:
-  SpinLock guard_;
   const int parties_;
   int arrived_ = 0;
   std::atomic<std::uint64_t> generation_{0};
@@ -173,13 +191,8 @@ class Once {
 /// pthread_rwlock_t equivalent. Writer-preferring: once a writer waits, new
 /// readers queue behind it (no writer starvation); a releasing writer hands
 /// off to the next writer if any, otherwise wakes every waiting reader.
-class RwLock {
+class RwLock : detail::SyncObject {
  public:
-  RwLock() = default;
-  ~RwLock();
-  RwLock(const RwLock&) = delete;
-  RwLock& operator=(const RwLock&) = delete;
-
   void rdlock();
   bool try_rdlock();
   void rdunlock();
@@ -211,10 +224,10 @@ class RwLock {
   };
 
  private:
-  /// Called with guard_ held after a writer leaves; hands the lock on.
-  void release_to_next();
+  bool acquire(bool write, detail::Wait wait, replay::SyncOp op);
+  /// Drops a hold; the last one out hands the lock on.
+  void release(bool write, replay::SyncOp op);
 
-  SpinLock guard_;
   int readers_ = 0;           ///< threads currently holding it shared
   bool writer_ = false;       ///< a thread currently holds it exclusive
   int waiting_writers_ = 0;

@@ -1,13 +1,15 @@
 // Engine-integration tests for the tracing hooks: a traced SimEngine run
 // records the events and samples the figures need, a traced RealEngine run
 // keeps per-lane timestamps monotone, composing a tracer with a run
-// changes none of the results, and the counters and histograms record only
-// while a tracer is installed.
+// changes none of the results, stack events name the thread that gets the
+// stack, and the counters and histograms record only while a tracer is
+// installed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <ostream>
+#include <set>
 #include <string>
 
 #include "obs/trace.h"
@@ -155,6 +157,39 @@ TEST(TraceHooksTest, TracerIsReusableAcrossRuns) {
 // The counter and histogram hooks are gated at run time on an installed
 // Tracer, the registries' only consumer: a run without one leaves every
 // value at zero, a run with one fills them.
+class StackEventTest : public ::testing::TestWithParam<EngineKind> {};
+
+// StackFresh/StackReuse say "stack mapped for tid": on both engines the tid
+// is the thread that got the stack (main included), never its parent.
+TEST_P(StackEventTest, StackEventsNameTheSpawnedThread) {
+  obs::Tracer tracer;
+  RuntimeOptions o = base_opts(GetParam(), SchedKind::AsyncDf);
+  o.tracer = &tracer;
+  std::set<std::uint64_t> threads;
+  run(o, [&threads] {
+    threads.insert(self_id());
+    Thread a = spawn([]() -> void* { return nullptr; });
+    Thread b = spawn([]() -> void* { return nullptr; });
+    threads.insert(a.id());
+    threads.insert(b.id());
+    join(a);
+    join(b);
+  });
+  std::set<std::uint64_t> stacked;
+  for (const obs::TraceEvent& ev : tracer.merged()) {
+    if (ev.kind == obs::EvKind::StackFresh || ev.kind == obs::EvKind::StackReuse) {
+      stacked.insert(ev.tid);
+    }
+  }
+  EXPECT_EQ(stacked, threads);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothEngines, StackEventTest,
+                         ::testing::Values(EngineKind::Sim, EngineKind::Real),
+                         [](const ::testing::TestParamInfo<EngineKind>& info) {
+                           return std::string(to_string(info.param));
+                         });
+
 struct GateCase {
   const char* name;
   EngineKind engine;

@@ -99,6 +99,18 @@ if audit_grep "$core_files" '\b(printf|fprintf|puts|fputs)[[:space:]]*\(|std::(c
   status=1
 fi
 
+# One edge spine: the engines, the sync primitives and the schedulers reach
+# the race detector, the lock graph, the auditor, the profiler and the graph
+# recorder only through runtime/edges.h, which fans each edge out to them in
+# one documented order. A direct call anywhere else in src/runtime or
+# src/core is a second, unordered path to a consumer.
+spine_files=$(find src/core src/runtime \( -name '*.cpp' -o -name '*.h' \) \
+              ! -path src/runtime/edges.h)
+if audit_grep "$spine_files" 'RaceDetector::instance\(\)\.on_|LockGraph::instance\(\)\.on_|active_recorder\(\)|active_auditor\(\)|DFTH_PROF_|profiler\(\)->|->(thread_start|work|overhead|dispatch|fork_cost|join_edge|wake_edge|steal|exit_fiber)\('; then
+  echo "lint: analyzer/profiler/recorder call outside the edge spine in src/core or src/runtime (use runtime/edges.h)" >&2
+  status=1
+fi
+
 # Same rule for the observability, resilience and replay layers, minus the
 # designated stdio sinks: obs/export.cpp IS the file writer the pipeline
 # parses, resil/watchdog.cpp must dump its flight recorder to stderr from an
@@ -145,7 +157,7 @@ if audit_grep "$serve_files" '\b(malloc|calloc|realloc|free)[[:space:]]*\('; the
 fi
 
 if [ "$status" -eq 0 ]; then
-  echo "lint: allocation/threading/stdio audit clean (src/apps, src/core, src/runtime, src/obs, src/resil, src/replay, src/serve, tests, bench)"
+  echo "lint: allocation/threading/stdio/edge-spine audit clean (src/apps, src/core, src/runtime, src/obs, src/resil, src/replay, src/serve, tests, bench)"
 fi
 
 if [ "$grep_only" -eq 1 ]; then
