@@ -40,6 +40,8 @@ void Recorder::on_thread_start(std::uint64_t tid, std::uint64_t parent_tid) {
   std::int32_t fork_pred = -1;
   if (parent_tid != 0) {
     ThreadRec& parent = rec_for(parent_tid);
+    // Main is never started through here: its forking segment opens now.
+    if (parent.open_segment < 0) open_new_segment(parent, EdgeKind::Continuation, -1);
     // The fork splits the parent's current segment: remember the forking
     // segment, then open the parent's continuation.
     fork_pred = parent.open_segment;

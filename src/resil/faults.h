@@ -1,20 +1,15 @@
 // Deterministic fault injection — the "chaos" half of the resilience layer.
 //
 // Every recoverable resource-acquisition point in the runtime is a named
-// *fault site* (stack.mmap, heap.alloc, ctx.create, ...). A build with
-// -DDFTH_FAULTS=ON compiles a DFTH_FAULT_SHOULD_FAIL(site) probe into each
-// site; an armed FaultInjector then decides — from a seeded PRNG, an
-// every-Nth counter, or both — whether that particular acquisition should
-// pretend to fail. Because the injector consumes one deterministic stream
-// per site, an identical FaultPlan replayed under SimEngine (which
-// serializes all fibers onto one host thread) produces the identical
-// failure schedule, so every recovery path is testable byte-for-byte.
-//
-// With -DDFTH_FAULTS=OFF (the default) both hooks are literal constants:
-// DFTH_FAULT_SHOULD_FAIL(site) expands to (false) and
-// DFTH_FAULT_RECOVERED(site) to ((void)0), so production builds pay nothing
-// — tests/resil/faults_test.cpp static_asserts the expansion, mirroring the
-// obs-layer hook proof.
+// *fault site* (stack.mmap, heap.alloc, ctx.create, ...) that calls the
+// inline probe should_fail(site). An armed FaultInjector then decides —
+// from a seeded PRNG, an every-Nth counter, or both — whether that
+// particular acquisition should pretend to fail. Because the injector
+// consumes one deterministic stream per site, an identical FaultPlan
+// replayed under SimEngine (which serializes all fibers onto one host
+// thread) produces the identical failure schedule, so every recovery path
+// is testable byte-for-byte. Unarmed, a probe is one load and a branch and
+// never reaches the injector.
 #pragma once
 
 #include <atomic>
@@ -25,12 +20,6 @@
 #include "util/rng.h"
 
 namespace dfth::resil {
-
-#if DFTH_FAULTS
-inline constexpr bool kFaultsEnabled = true;
-#else
-inline constexpr bool kFaultsEnabled = false;
-#endif
 
 /// Named resource-acquisition points that can be made to fail.
 enum class FaultSite : int {
@@ -86,10 +75,18 @@ struct FaultPlan {
   static FaultPlan uniform_probability(std::uint64_t seed, double p);
 };
 
-/// Process-global injector. Disarmed it is a single relaxed atomic load per
-/// probe; armed it serializes evaluations through a mutex — acceptable
-/// because fault sites sit on resource-acquisition slow paths, and required
-/// so the per-site streams stay deterministic under SimEngine.
+namespace detail {
+/// The one armed flag, set by FaultInjector::arm and cleared by disarm.
+/// constinit, like obs::detail::g_tracer, so the unarmed probe reads it
+/// without a call or a function-local static guard.
+inline constinit std::atomic<bool> g_armed{false};
+bool draw(FaultSite site);  ///< the armed probe: the injector's should_fail
+}  // namespace detail
+
+/// Process-global injector. Disarmed, a probe never reaches it; armed it
+/// serializes evaluations through a mutex — acceptable because fault sites
+/// sit on resource-acquisition paths, and required so the per-site streams
+/// stay deterministic under SimEngine.
 class FaultInjector {
  public:
   static FaultInjector& instance();
@@ -102,7 +99,7 @@ class FaultInjector {
   /// schedule a finished run experienced.
   void disarm();
 
-  bool armed() const { return armed_.load(std::memory_order_acquire); }
+  bool armed() const { return detail::g_armed.load(std::memory_order_acquire); }
 
   /// One evaluation of `site`: returns true if this acquisition must fail.
   bool should_fail(FaultSite site);
@@ -126,7 +123,6 @@ class FaultInjector {
   FaultInjector() = default;
 
   mutable std::mutex mu_;
-  std::atomic<bool> armed_{false};
   FaultPlan plan_;
   Rng rng_[kNumFaultSites];
   std::uint64_t evals_[kNumFaultSites] = {};
@@ -134,14 +130,12 @@ class FaultInjector {
   std::atomic<std::uint64_t> recovered_[kNumFaultSites] = {};
 };
 
-}  // namespace dfth::resil
+/// The probe at each fault site: true if this acquisition must fail.
+inline bool should_fail(FaultSite site) {
+  return detail::g_armed.load(std::memory_order_acquire) && detail::draw(site);
+}
 
-#if DFTH_FAULTS
-#define DFTH_FAULT_SHOULD_FAIL(site) \
-  (::dfth::resil::FaultInjector::instance().should_fail(site))
-#define DFTH_FAULT_RECOVERED(site) \
-  ::dfth::resil::FaultInjector::instance().on_recovered(site)
-#else
-#define DFTH_FAULT_SHOULD_FAIL(site) (false)
-#define DFTH_FAULT_RECOVERED(site) ((void)0)
-#endif
+/// Records at a fault site that an earlier failure there was absorbed.
+inline void on_recovered(FaultSite site) { FaultInjector::instance().on_recovered(site); }
+
+}  // namespace dfth::resil

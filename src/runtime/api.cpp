@@ -343,8 +343,11 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
   };
   // A request no host could meet fails before the δ dummy tree (which would
   // be ⌈m/K⌉ threads) and before OOM recovery, whose rounds would only shrink
-  // K for the rest of the run.
-  if (bytes > TrackedHeap::max_request_bytes()) return fail();
+  // K for the rest of the run. No free can ever make it fit: terminal kNoMem.
+  if (bytes > TrackedHeap::max_request_bytes()) {
+    if (status) *status = DfStatus::kNoMem;
+    return nullptr;
+  }
   if (e && e->uses_alloc_quota()) {
     const std::size_t quota = e->quota_bytes();
     if (quota > 0 && bytes > quota) {
@@ -377,7 +380,7 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
     if (injected) ++injected_failures;
   }
   for (; injected_failures > 0; --injected_failures) {
-    DFTH_FAULT_RECOVERED(resil::FaultSite::kHeapAlloc);
+    resil::on_recovered(resil::FaultSite::kHeapAlloc);
   }
   if (e) {
     if (Tcb* cur = e->current()) {

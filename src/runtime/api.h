@@ -84,10 +84,9 @@ struct RuntimeOptions {
   /// tools/dfth-prof.
   obs::Profiler* profiler = nullptr;
 
-  /// Optional caller-owned fault-injection plan (resil/faults.h): when set
-  /// (and the build has DFTH_FAULTS), the engine arms the injector for the
-  /// duration of run(), so the named resource-acquisition sites fail on the
-  /// plan's deterministic schedule.
+  /// Optional caller-owned fault-injection plan (resil/faults.h): when set,
+  /// the engine arms the injector for the duration of run(), so the named
+  /// resource-acquisition sites fail on the plan's deterministic schedule.
   const resil::FaultPlan* fault_plan = nullptr;
 
   /// Stall-watchdog deadlines and dump destination (resil/watchdog.h).
@@ -188,7 +187,8 @@ enum class DfStatus : std::uint8_t {
   kOk = 0,
   kNoMem,       ///< heap exhausted after the engine's bounded OOM-preempt
                 ///< retries and no other thread holds tracked memory: nothing
-                ///< will ever free, the allocation can never succeed
+                ///< will ever free, the allocation can never succeed (also
+                ///< any request above TrackedHeap::max_request_bytes())
   kTimedOut,    ///< a timed wait expired (reserved for callers layering on sync)
   kOverloaded,  ///< heap exhausted while other threads hold tracked bytes —
                 ///< transient backpressure; retry after they free, or shed

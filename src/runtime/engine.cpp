@@ -41,11 +41,11 @@ Tcb* Engine::make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy
   t->is_dummy = is_dummy;
   if (stack_bytes == 0) return t;
   t->stack = StackPool::instance().acquire(stack_bytes);
-  if (t->stack && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kCtxCreate)) {
+  if (t->stack && resil::should_fail(resil::FaultSite::kCtxCreate)) {
     StackPool::instance().release(t->stack);
     t->stack = Stack{};
     // The inline-run fallback at the spawn site absorbs this.
-    DFTH_FAULT_RECOVERED(resil::FaultSite::kCtxCreate);
+    resil::on_recovered(resil::FaultSite::kCtxCreate);
   }
   if (t->stack) {
     context_make(&t->ctx, t->stack.base, t->stack.top(), fiber_entry_, t);
@@ -173,7 +173,7 @@ void Engine::begin_run(int trace_lanes, std::function<std::uint64_t()> trace_clo
   // Per-run fault stats are deltas, so a harness that armed the injector
   // itself (and keeps it armed across runs) still gets accurate counts.
   auto& inj = resil::FaultInjector::instance();
-  faults_armed_here_ = resil::kFaultsEnabled && opts_.fault_plan != nullptr;
+  faults_armed_here_ = opts_.fault_plan != nullptr;
   if (faults_armed_here_) inj.arm(*opts_.fault_plan);
   faults_injected0_ = inj.injected_total();
   faults_recovered0_ = inj.recovered_total();

@@ -786,8 +786,8 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   // [0, nprocs), which every scheduler hint path assumes.
   int kept_workers = 0;
   for (int i = 0; i < opts_.nprocs; ++i) {
-    if (i > 0 && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kWorkerSpawn)) {
-      DFTH_FAULT_RECOVERED(resil::FaultSite::kWorkerSpawn);
+    if (i > 0 && resil::should_fail(resil::FaultSite::kWorkerSpawn)) {
+      resil::on_recovered(resil::FaultSite::kWorkerSpawn);
       continue;
     }
     ++kept_workers;

@@ -42,8 +42,8 @@ void wake_all(Engine* e, SpinLock& guard, WaitList& woken) {
 /// A timed variant's entry probe of the sync.timeout fault site: an injected
 /// immediate timeout, which the caller's timeout path absorbs.
 bool timeout_injected() {
-  if (!DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) return false;
-  DFTH_FAULT_RECOVERED(resil::FaultSite::kSyncTimeout);
+  if (!resil::should_fail(resil::FaultSite::kSyncTimeout)) return false;
+  resil::on_recovered(resil::FaultSite::kSyncTimeout);
   return true;
 }
 

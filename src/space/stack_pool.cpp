@@ -76,9 +76,9 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
   // recording mapped fresh would otherwise probe a different site sequence
   // and be reported as a divergence. An injected failure forces the
   // fresh-mapping path below, which treats it as attempt 0's failure.
-  const bool pre_inj_mmap = DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kStackMmap);
+  const bool pre_inj_mmap = resil::should_fail(resil::FaultSite::kStackMmap);
   const bool pre_inj_mprotect =
-      !pre_inj_mmap && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kStackMprotect);
+      !pre_inj_mmap && resil::should_fail(resil::FaultSite::kStackMprotect);
 
   if (!pre_inj_mmap && !pre_inj_mprotect) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -114,7 +114,7 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
     // Attempt 0 consumes the pre-lookup draws; later attempts draw afresh.
     const bool inj_mmap = attempt == 0
                               ? pre_inj_mmap
-                              : DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kStackMmap);
+                              : resil::should_fail(resil::FaultSite::kStackMmap);
     void* mapping = MAP_FAILED;
     if (inj_mmap) {
       mmap_failed = true;
@@ -126,7 +126,7 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
     void* usable_lo = static_cast<char*>(mapping) + page_size();
     const bool inj_mprotect =
         attempt == 0 ? pre_inj_mprotect
-                     : DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kStackMprotect);
+                     : resil::should_fail(resil::FaultSite::kStackMprotect);
     if (inj_mprotect ||
         ::mprotect(usable_lo, usable, PROT_READ | PROT_WRITE) != 0) {
       mprotect_failed = true;
@@ -141,8 +141,8 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
       live_ += static_cast<std::int64_t>(usable);
       if (live_ > peak_) peak_ = live_;
     }
-    if (mmap_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMmap);
-    if (mprotect_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMprotect);
+    if (mmap_failed) resil::on_recovered(resil::FaultSite::kStackMmap);
+    if (mprotect_failed) resil::on_recovered(resil::FaultSite::kStackMprotect);
     // Stack.base stores the start of the *usable* region; release() and
     // trim() recompute the mapping base from it.
 #if DFTH_STACK_USAGE
@@ -164,8 +164,8 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
     live_ += static_cast<std::int64_t>(usable);
     if (live_ > peak_) peak_ = live_;
   }
-  if (mmap_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMmap);
-  if (mprotect_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMprotect);
+  if (mmap_failed) resil::on_recovered(resil::FaultSite::kStackMmap);
+  if (mprotect_failed) resil::on_recovered(resil::FaultSite::kStackMprotect);
 #if DFTH_STACK_USAGE
   paint_stack(heap_base, usable);
 #endif

@@ -104,7 +104,7 @@ void* TrackedHeap::allocate_ex(std::size_t bytes, std::int64_t* fresh_bytes_out,
   // path threw bad_alloc here — out of a fiber, through a context switch,
   // straight into std::terminate.)
   if (bytes > max_request_bytes()) return nullptr;  // can never be met
-  if (probe_faults && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kHeapAlloc)) {
+  if (probe_faults && resil::should_fail(resil::FaultSite::kHeapAlloc)) {
     if (injected_out) *injected_out = true;
     return nullptr;
   }

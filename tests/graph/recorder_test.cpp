@@ -1,6 +1,8 @@
 // Computation-graph recording + work/span analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/analysis.h"
 #include "graph/recorder.h"
 #include "runtime/api.h"
@@ -93,6 +95,25 @@ TEST(Recorder, DeepForkChainDepth) {
   GraphSummary s = analyze(g);
   EXPECT_EQ(s.serial_live_depth, 6u);
 }
+
+// Main is never started through on_thread_start: a main that forks before
+// any annotate_work/df_malloc must still give its child a Fork edge.
+class RootForkTest : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(RootForkTest, FirstChildOfUnannotatedMainGetsForkEdge) {
+  Recorder rec;
+  RuntimeOptions o = rec_opts(&rec);
+  o.engine = GetParam();
+  run(o, [] { join(spawn([]() -> void* { annotate_work(5); return nullptr; })); });
+  const Graph g = rec.take();
+  EXPECT_EQ(std::count_if(g.edges.begin(), g.edges.end(),
+                          [](const GraphEdge& e) { return e.kind == EdgeKind::Fork; }),
+            1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, RootForkTest,
+                         ::testing::Values(EngineKind::Sim, EngineKind::Real),
+                         [](const auto& info) { return std::string(to_string(info.param)); });
 
 TEST(Analysis, DotOutputContainsAllSegments) {
   Recorder rec;

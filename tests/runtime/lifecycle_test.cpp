@@ -85,7 +85,7 @@ TEST_P(EngineLifecycle, ImpossibleAllocationFailsBeforeDummiesAndRecovery) {
     EXPECT_EQ(df_try_malloc(kRequest, &status), nullptr);
     quota_after = engine()->quota_bytes();
   });
-  EXPECT_NE(status, DfStatus::kOk);
+  EXPECT_EQ(status, DfStatus::kNoMem);
   EXPECT_EQ(stats.dummy_threads, 0u);
   EXPECT_EQ(stats.oom_preemptions, 0u);
   EXPECT_EQ(quota_after, kQuota);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "replay/signature.h"
+#include "resil/faults.h"
 #include "runtime/api.h"
 #include "runtime/sync.h"
 #include "serve/admission.h"
@@ -558,25 +559,36 @@ TEST(ServeWatchdog, HeartbeatKeepsIdleServerAliveUnderStallWatchdog) {
 // kOverloaded vs kNoMem (src/runtime/api.h): exhaustion while other fibers
 // hold tracked bytes is transient backpressure (their frees can make a
 // retry succeed — the admission controller's shed signal); exhaustion with
-// nothing held is terminal. An impossible allocation distinguishes the two
-// paths deterministically. mem_quota = 0 keeps the oversized-allocation
-// dummy-thread tree out of the way (it would be proportional to m/K).
-TEST(DfTryMalloc, ReportsOverloadedWhileOtherFibersHoldTrackedBytes) {
+// nothing held is terminal, and so is a request no free could ever make fit.
+// mem_quota = 0 keeps the oversized-allocation dummy-thread tree out of the
+// way (it would be proportional to m/K).
+DfStatus try_malloc_holding_bytes(std::size_t bytes, const resil::FaultPlan* plan) {
   DfStatus status = DfStatus::kOk;
   RuntimeOptions o;
-  o.engine = EngineKind::Sim;
-  o.sched = SchedKind::AsyncDf;
-  o.nprocs = 1;
   o.mem_quota = 0;
+  o.fault_plan = plan;
   run(o, [&] {
     void* held = df_malloc(1024);
     ASSERT_NE(held, nullptr);
-    void* p = df_try_malloc(std::size_t{1} << 62, &status);
-    EXPECT_EQ(p, nullptr);
+    EXPECT_EQ(df_try_malloc(bytes, &status), nullptr);
     df_free(held);
   });
-  EXPECT_EQ(status, DfStatus::kOverloaded)
+  return status;
+}
+
+TEST(DfTryMalloc, ReportsOverloadedWhileOtherFibersHoldTrackedBytes) {
+  // Every heap.alloc after the first (`held`) fails: a feasible request
+  // fails deterministically.
+  resil::FaultPlan plan;
+  plan.site(resil::FaultSite::kHeapAlloc).probability = 1.0;
+  plan.site(resil::FaultSite::kHeapAlloc).skip_first = 1;
+  EXPECT_EQ(try_malloc_holding_bytes(512, &plan), DfStatus::kOverloaded)
       << "held tracked bytes mean a retry could succeed: backpressure";
+}
+
+TEST(DfTryMalloc, ReportsNoMemForImpossibleRequestWhileBytesAreHeld) {
+  EXPECT_EQ(try_malloc_holding_bytes(std::size_t{1} << 62, nullptr), DfStatus::kNoMem)
+      << "no free can ever make 2^62 bytes fit";
 }
 
 TEST(DfTryMalloc, ReportsNoMemWhenNothingCanEverFree) {

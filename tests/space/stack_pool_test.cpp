@@ -86,9 +86,6 @@ TEST(StackPool, TopIsOnePastTheUsableRegion) {
 }
 
 TEST(StackPool, HeapFallbackWhenMappingIsFailed) {
-  if (!resil::kFaultsEnabled) {
-    GTEST_SKIP() << "build has no fault hooks (-DDFTH_FAULTS=OFF)";
-  }
   auto& pool = StackPool::instance();
   pool.trim();  // empty the cache so acquire must reach the mmap site
   resil::FaultPlan plan;

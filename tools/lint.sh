@@ -138,7 +138,7 @@ fi
 
 # The serving layer holds the same line as the engines it fronts: no raw
 # stdio (everything it measures flows through ServeReport counters into the
-# bench JSON the CI serve leg parses), no raw pthread primitives (handlers
+# bench JSON the CI serve soak parses), no raw pthread primitives (handlers
 # and the pump run on fibers — blocking a kernel thread stalls a whole
 # lane), and no untracked allocation (request payloads must charge the
 # tracked heap or the admission budget it enforces is fiction).
