@@ -46,6 +46,7 @@ void Profiler::begin_run() {
   arena_.clear();
   work_ns_ = overhead_ns_ = fiber_count_ = 0;
   max_span_ns_ = max_burden_ns_ = 0;
+  span_segments_ = 0;
   crit_head_ = nullptr;
   stats_ = ProfileStats{};
   elapsed_us_ = 0;
@@ -58,13 +59,15 @@ void Profiler::end_run(double elapsed_us, int nprocs) {
   Guard g(mu_);
   // Fibers still live at the end of the run (the caller's root, anything
   // blocked at teardown) compete for the span with their current value.
-  for (Fiber& f : fibers_) {
-    if (!f.seen || f.finished) continue;
-    if (f.span_ns > max_span_ns_) {
-      max_span_ns_ = f.span_ns;
-      crit_head_ = f.head;
-    }
-    max_burden_ns_ = std::max(max_burden_ns_, f.burden_ns);
+  for (const Fiber& f : fibers_) {
+    if (f.seen && !f.finished) compete(f);
+  }
+  // Trie parents precede their children, so one forward pass gives every
+  // spawn stack its depth; main's stack (a child of the root) is depth 1.
+  std::vector<std::uint32_t> depth(trie_.size(), 0);
+  for (std::size_t i = 1; i < trie_.size(); ++i) {
+    depth[i] = depth[trie_[i].parent] + 1;
+    stats_.fork_depth = std::max(stats_.fork_depth, depth[i]);
   }
   stats_.enabled = true;
   stats_.work_ns = work_ns_;
@@ -72,6 +75,7 @@ void Profiler::end_run(double elapsed_us, int nprocs) {
   stats_.burdened_span_ns = std::max(max_burden_ns_, max_span_ns_);
   stats_.overhead_ns = overhead_ns_;
   stats_.fibers = fiber_count_;
+  stats_.span_segments = span_segments_;
   elapsed_us_ = elapsed_us;
   nprocs_ = nprocs;
 }
@@ -125,15 +129,31 @@ void Profiler::accrue_ledger(Fiber& f, std::uint64_t ns) {
   f.head_owned = true;
 }
 
+void Profiler::charge(Fiber& f, std::uint64_t ns) {
+  f.span_ns += ns;
+  f.burden_ns += ns;
+  f.grow_segs = f.segs;
+  work_ns_ += ns;
+  trie_[f.node].self_work_ns += ns;
+  accrue_ledger(f, ns);
+}
+
+void Profiler::compete(const Fiber& f) {
+  if (f.span_ns > max_span_ns_) {
+    max_span_ns_ = f.span_ns;
+    crit_head_ = f.head;
+    span_segments_ = f.grow_segs;
+  } else if (f.span_ns == max_span_ns_) {
+    span_segments_ = std::max(span_segments_, f.grow_segs);
+  }
+  max_burden_ns_ = std::max(max_burden_ns_, f.burden_ns);
+}
+
 void Profiler::flush_offset(Fiber& f, std::uint64_t offset_ns) {
   if (offset_ns <= f.prepaid_ns) return;
   const std::uint64_t amount = offset_ns - f.prepaid_ns;
   f.prepaid_ns = offset_ns;
-  f.span_ns += amount;
-  f.burden_ns += amount;
-  work_ns_ += amount;
-  trie_[f.node].self_work_ns += amount;
-  accrue_ledger(f, amount);
+  charge(f, amount);
 }
 
 void Profiler::thread_start(std::uint64_t child, std::uint64_t parent,
@@ -146,6 +166,9 @@ void Profiler::thread_start(std::uint64_t child, std::uint64_t parent,
   std::uint64_t base_span = 0, base_burden = 0;
   Ledger* base_head = nullptr;
   std::uint32_t parent_node = 0;
+  // A root opens its first segment; a fork closes the parent's and opens
+  // one in the parent and one in the child.
+  std::uint32_t segs = 1, grow_segs = 0;
   if (parent != 0) {
     Fiber& p = fiber(parent);
     flush_offset(p, offset_ns);  // materialize uncharged work before sharing
@@ -154,6 +177,8 @@ void Profiler::thread_start(std::uint64_t child, std::uint64_t parent,
     base_head = p.head;
     parent_node = p.node;
     seal(p);  // the child now shares the parent's ledger
+    segs = ++p.segs;
+    grow_segs = p.grow_segs;
   }
   Fiber& c = fiber(child);
   c.seen = true;
@@ -163,6 +188,8 @@ void Profiler::thread_start(std::uint64_t child, std::uint64_t parent,
   c.prepaid_ns = 0;
   c.head = base_head;
   c.head_owned = false;
+  c.segs = segs;
+  c.grow_segs = grow_segs;
   c.node = trie_child(parent_node, intern_site(file, line));
 }
 
@@ -176,12 +203,7 @@ void Profiler::work(std::uint64_t tid, std::uint64_t ns) {
   // from, so ns >= prepaid — the max() is a defensive clamp.
   const std::uint64_t amount = ns > f.prepaid_ns ? ns - f.prepaid_ns : 0;
   f.prepaid_ns = 0;
-  if (amount == 0) return;
-  f.span_ns += amount;
-  f.burden_ns += amount;
-  work_ns_ += amount;
-  trie_[f.node].self_work_ns += amount;
-  accrue_ledger(f, amount);
+  if (amount != 0) charge(f, amount);
 }
 
 void Profiler::overhead(std::uint64_t tid, std::uint64_t ns) {
@@ -211,34 +233,40 @@ void Profiler::join_edge(std::uint64_t joiner, std::uint64_t child,
   Guard g(mu_);
   // Two fiber() calls: take references one at a time (resize invalidates).
   flush_offset(fiber(joiner), offset_ns);
-  const std::uint64_t child_span = fiber(child).span_ns;
-  const std::uint64_t child_burden = fiber(child).burden_ns;
-  Ledger* child_head = fiber(child).head;
-  fiber(child).head_owned = false;
+  Fiber& c = fiber(child);
+  seal(c);
+  const Fiber done = c;
   Fiber& j = fiber(joiner);
-  if (child_span > j.span_ns) {
-    j.span_ns = child_span;
-    j.head = child_head;
+  if (done.span_ns > j.span_ns) {
+    j.span_ns = done.span_ns;
+    j.head = done.head;
     j.head_owned = false;
+    j.segs = done.segs;
+    j.grow_segs = done.grow_segs;
+  } else if (done.span_ns == j.span_ns) {
+    j.segs = std::max(j.segs, done.segs);
+    j.grow_segs = std::max(j.grow_segs, done.grow_segs);
   }
-  j.burden_ns = std::max(j.burden_ns, child_burden);
+  j.burden_ns = std::max(j.burden_ns, done.burden_ns);
+  ++j.segs;  // the join closes the joiner's segment
 }
 
 void Profiler::wake_edge(std::uint64_t waker, std::uint64_t wakee,
                          std::uint64_t offset_ns) {
   Guard g(mu_);
   flush_offset(fiber(waker), offset_ns);
-  const std::uint64_t waker_span = fiber(waker).span_ns;
-  const std::uint64_t waker_burden = fiber(waker).burden_ns;
-  Ledger* waker_head = fiber(waker).head;
-  fiber(waker).head_owned = false;
+  Fiber& w = fiber(waker);
+  seal(w);
+  const Fiber from = w;
   Fiber& e = fiber(wakee);
-  if (waker_span > e.span_ns) {
-    e.span_ns = waker_span;
-    e.head = waker_head;
+  if (from.span_ns > e.span_ns) {
+    e.span_ns = from.span_ns;
+    e.head = from.head;
     e.head_owned = false;
+    e.segs = from.segs;
+    e.grow_segs = from.grow_segs;
   }
-  e.burden_ns = std::max(e.burden_ns, waker_burden);
+  e.burden_ns = std::max(e.burden_ns, from.burden_ns);
 }
 
 void Profiler::steal(std::uint64_t tid, std::uint64_t burden_ns) {
@@ -253,11 +281,7 @@ void Profiler::exit_fiber(std::uint64_t tid, std::uint64_t offset_ns) {
   Fiber& f = fiber(tid);
   f.finished = true;
   seal(f);
-  if (f.span_ns > max_span_ns_) {
-    max_span_ns_ = f.span_ns;
-    crit_head_ = f.head;
-  }
-  max_burden_ns_ = std::max(max_burden_ns_, f.burden_ns);
+  compete(f);
 }
 
 std::vector<CritSegment> Profiler::critical_path() const {

@@ -22,6 +22,16 @@
 //                  creation cost, every steal its observed latency. This is
 //                  the Cilkview "burdened" curve: what the critical path
 //                  costs on a real scheduler rather than an ideal one.
+//   fork depth   — the deepest fork nesting (main = 1), read off the
+//                  spawn-stack trie: the paper's `d`, the most threads a
+//                  serial depth-first execution holds live at once.
+//   span segments — D in the paper's S1 + O(p·K·D) space bound: a fiber is
+//                  a chain of segments split at each fork and join, and D
+//                  counts the segments along the span path up to the point
+//                  where the span last grew. It rides along the span the
+//                  way the ledger does: a fork adds one segment to parent
+//                  and child, a join adopts the heavier side's count and
+//                  adds one, a wake adopts the waker's when it is heavier.
 //   overhead     — all lane-side scheduler time (dispatch, fork, exit,
 //                  preempt, lock contention). Together with work it accounts
 //                  for every non-idle lane nanosecond, which SimEngine makes
@@ -156,6 +166,7 @@ class Profiler {
   struct Fiber {
     bool seen = false;
     bool finished = false;
+    bool head_owned = false;       ///< may mutate head->ns in place
     std::uint32_t node = 0;        ///< spawn-stack trie node
     std::uint64_t span_ns = 0;
     std::uint64_t burden_ns = 0;   ///< span + scheduling burden
@@ -163,7 +174,10 @@ class Profiler {
     /// offset_ns; the next work() deducts it so nothing double-counts.
     std::uint64_t prepaid_ns = 0;
     Ledger* head = nullptr;
-    bool head_owned = false;       ///< may mutate head->ns in place
+    /// Segments on the span path into the fiber's open segment (a fork or
+    /// a join closes one), and that count where its span last grew.
+    std::uint32_t segs = 0;
+    std::uint32_t grow_segs = 0;
   };
   /// Spawn-site stack trie: node 0 is the root ("main"); a child per
   /// distinct (parent, spawn site).
@@ -196,6 +210,11 @@ class Profiler {
   std::uint32_t trie_child(std::uint32_t parent, std::uint32_t site);
   std::string stack_string(std::uint32_t node) const;
   void accrue_ledger(Fiber& f, std::uint64_t ns);
+  /// Charges `ns` of pure fiber time: span, burden, work and ledger advance
+  /// together, and the span path's segment count is taken as of now.
+  void charge(Fiber& f, std::uint64_t ns);
+  /// A finished (or still-live at end_run) fiber competes for the run span.
+  void compete(const Fiber& f);
   /// Materializes a fiber's uncharged-at-edge work (`offset_ns`) as real
   /// charges — span, burden, work and ledger advance together, so adopted
   /// ledgers always sum to the span they carry. Idempotent per offset: only
@@ -216,6 +235,7 @@ class Profiler {
   std::uint64_t fiber_count_ = 0;
   std::uint64_t max_span_ns_ = 0;
   std::uint64_t max_burden_ns_ = 0;
+  std::uint32_t span_segments_ = 0;  ///< grow_segs of the span winner
   Ledger* crit_head_ = nullptr;  ///< ledger of the span-winning fiber
 
   ProfileStats stats_;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "graph/recorder.h"
 #include "replay/session.h"
 #include "resil/faults.h"
 #include "runtime/edges.h"
@@ -145,13 +144,11 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
     eng = std::make_unique<RealEngine>(effective);
   }
 
-  if (effective.recorder) detail::set_recorder(effective.recorder);
   edges::on_run_start();
 
   detail::set_engine(eng.get());
   RunStats stats = eng->run(main_fn);
   detail::set_engine(nullptr);
-  detail::set_recorder(nullptr);
   if (session) {
     std::string error;
     if (!session->finish_record(/*clean=*/true, &error)) {
@@ -167,7 +164,7 @@ Thread spawn(std::function<void*()> fn, const Attr& attr,
              std::source_location site) {
   Engine* e = engine();
   DFTH_CHECK_MSG(e, "spawn outside dfth::run");
-  // Graph recording happens inside the engine: under a child-runs-first
+  // The fork edge is taken inside the engine: under a child-runs-first
   // policy the child may execute to completion before this call returns, so
   // its start must be recorded before the scheduling decision.
   Tcb* child = e->spawn(std::move(fn), attr, /*is_dummy=*/false,
@@ -329,13 +326,14 @@ void* df_malloc(std::size_t bytes) { return df_try_malloc(bytes, nullptr); }
 
 void* df_try_malloc(std::size_t bytes, DfStatus* status) {
   Engine* e = engine();
+  TrackedHeap& heap = TrackedHeap::instance();
   // Backpressure vs. terminal failure: while other threads hold tracked
   // bytes, their frees can make a retry succeed — that is kOverloaded, the
   // admission controller's shed signal. Only an empty tracked heap (or no
   // engine to preempt through) means the caller gets terminal kNoMem.
   auto fail = [&] {
     if (status) {
-      *status = (e != nullptr && TrackedHeap::instance().live_bytes() > 0)
+      *status = (e != nullptr && heap.live_bytes() > 0)
                     ? DfStatus::kOverloaded
                     : DfStatus::kNoMem;
     }
@@ -344,7 +342,7 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
   // A request no host could meet fails before the δ dummy tree (which would
   // be ⌈m/K⌉ threads) and before OOM recovery, whose rounds would only shrink
   // K for the rest of the run. No free can ever make it fit: terminal kNoMem.
-  if (bytes > TrackedHeap::max_request_bytes()) {
+  if (bytes > heap.max_request_bytes()) {
     if (status) *status = DfStatus::kNoMem;
     return nullptr;
   }
@@ -359,8 +357,7 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
   }
   std::int64_t fresh = 0;
   bool injected = false;
-  void* p = TrackedHeap::instance().allocate_ex(bytes, &fresh,
-                                                /*probe_faults=*/true, &injected);
+  void* p = heap.allocate_ex(bytes, &fresh, /*probe_faults=*/true, &injected);
   int injected_failures = injected ? 1 : 0;
   // OOM recovery. Retries skip the dummy-tree/auditor preamble above: the δ
   // credit was already granted for this allocation, and re-auditing would
@@ -375,8 +372,7 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
   const bool probe_retries = status != nullptr;
   for (int attempt = 0; p == nullptr; ++attempt) {
     if (e == nullptr || !e->on_alloc_failed(bytes, attempt)) return fail();
-    p = TrackedHeap::instance().allocate_ex(bytes, &fresh, probe_retries,
-                                            &injected);
+    p = heap.allocate_ex(bytes, &fresh, probe_retries, &injected);
     if (injected) ++injected_failures;
   }
   for (; injected_failures > 0; --injected_failures) {
@@ -426,7 +422,6 @@ void df_write(const void* p, std::size_t bytes, const char* site) {
 void annotate_work(std::uint64_t ops) {
   if (ops == 0) return;
   if (Engine* e = engine()) e->add_work(ops);
-  edges::on_annotated_work(ops);
 }
 
 void annotate_touch(const std::uint32_t* block_ids, std::size_t count) {

@@ -28,7 +28,6 @@
 #include <new>
 #include <source_location>
 
-#include "graph/recorder.h"
 #include "resil/watchdog.h"
 #include "runtime/cost_model.h"
 #include "runtime/run_stats.h"
@@ -63,13 +62,10 @@ struct RuntimeOptions {
   /// Processors per cluster ("SMP") for SchedKind::ClusteredAdf.
   int cluster_size = 4;
 
-  /// Cost-model constants for the simulation engine.
+  /// Cost-model constants for the simulation engine. CostModel::unit_ops()
+  /// zeroes every overhead, so a profiled run (`profiler` below) reads the
+  /// DAG's T1 and T∞ in annotated ops.
   CostModel cost;
-
-  /// Optional caller-owned computation-graph recorder (graph/recorder.h):
-  /// when set, the run records its fork/join DAG with per-segment work into
-  /// it, for graph/analysis.h. Adds overhead; off by default.
-  Recorder* recorder = nullptr;
 
   /// Optional caller-owned trace session (obs/trace.h): when set, the
   /// engine records scheduler events, time-series samples, counters and

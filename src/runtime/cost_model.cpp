@@ -5,6 +5,19 @@
 
 namespace dfth {
 
+CostModel CostModel::unit_ops() {
+  CostModel c;
+  c.create_unbound_us = c.create_bound_us = c.join_us = c.exit_us = 0.0;
+  c.ctx_switch_us = c.sync_op_us = c.block_us = c.sem_sync_us = 0.0;
+  c.sched_op_us = 0.0;
+  c.stack_pooled_us = c.stack_fresh_8k_us = c.stack_fresh_1m_us = 0.0;
+  c.malloc_base_us = c.free_base_us = c.fresh_page_us = 0.0;
+  c.cache_hit_us = c.cache_miss_us = 0.0;
+  c.ops_per_us = 1000.0;
+  c.pressure_max = 1.0;
+  return c;
+}
+
 double CostModel::stack_fresh_us(std::size_t bytes) const {
   // Two calibration points from the paper: (8 KB, 200 µs) and (1 MB, 260 µs).
   // Interpolate on log2(size) — the cost is dominated by a constant mmap and

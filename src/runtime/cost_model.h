@@ -78,6 +78,15 @@ struct CostModel {
   double cache_hit_us = 0.02;
   double cache_miss_us = 12.0;
 
+  /// The DAG-only preset: every overhead is zero, memory pressure is off
+  /// and 1000 ops retire per µs, so one annotated op is one virtual ns. A
+  /// profiled Sim run under it reads T1 and T∞ in annotated ops
+  /// (ProfileStats::work_ns, span_ns), and elapsed time is a greedy
+  /// schedule's T_p over that same DAG. RunStats::max_live_threads reads
+  /// high under it: threads born and finished at one virtual instant count
+  /// as coexisting.
+  static CostModel unit_ops();
+
   // -- derived helpers -------------------------------------------------------
   double work_us(std::uint64_t ops) const {
     return static_cast<double>(ops) / ops_per_us;

@@ -12,7 +12,6 @@
 //   4. tracer, counters and histograms
 //                           (obs/trace.h, obs/counters.h; when a Tracer is
 //                            installed)
-//   5. graph recorder       (graph/recorder.h; when a Recorder is attached)
 //
 // Each consumer has exactly one gate, and it lives here: `if constexpr` on
 // the build's analyzer switch (analyze::race_enabled, validate_enabled) for
@@ -44,7 +43,6 @@
 #include "analyze/auditor.h"
 #include "analyze/lock_graph.h"
 #include "analyze/race_detector.h"
-#include "graph/recorder.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "replay/session.h"
@@ -104,12 +102,10 @@ inline void on_fork(Engine& e, Tcb* child) {
     pr->thread_start(child->id, detail::id_of(parent), parent ? e.span_offset_ns() : 0,
                      child->site_file, child->site_line);
   }
-  if (child->is_main) return;
-  if (obs::Tracer* tr = obs::tracer()) {
+  if (obs::Tracer* tr = obs::tracer(); tr && !child->is_main) {
     tr->emit(e.lane(), child->is_dummy ? obs::EvKind::DummySpawn : obs::EvKind::Fork,
              detail::id_of(parent), child->id);
   }
-  if (Recorder* rec = active_recorder()) rec->on_thread_start(child->id, detail::id_of(parent));
 }
 
 /// A degraded spawn runs `child` inline on `parent`'s stack.
@@ -132,7 +128,6 @@ inline void on_join(Engine& e, Tcb* child) {
   if (obs::Tracer* tr = obs::tracer()) {
     tr->emit(e.lane(), obs::EvKind::Join, detail::id_of(e.current()), child->id);
   }
-  if (Recorder* rec = active_recorder()) rec->on_join(child->id, detail::id_of(e.current()));
 }
 
 /// `t` is about to block (join or sync object).
@@ -215,7 +210,6 @@ inline void on_heap(Engine& e, std::int64_t bytes) {
     tr->emit(e.lane(), bytes > 0 ? obs::EvKind::Alloc : obs::EvKind::Free,
              detail::id_of(e.current()), size);
   }
-  if (Recorder* rec = active_recorder()) rec->on_alloc(detail::id_of(e.current()), bytes);
 }
 
 /// Heap exhaustion preempted `t`; its re-dispatch opens a fresh window.
@@ -235,11 +229,6 @@ inline void on_access(const void* p, std::size_t bytes, const char* site, bool w
       write ? rd.on_write(t, p, bytes, site) : rd.on_read(t, p, bytes, site);
     }
   }
-}
-
-/// annotate_work(ops) by the current thread: graph segment weight.
-inline void on_annotated_work(std::uint64_t ops) {
-  if (Recorder* rec = active_recorder()) rec->on_work(detail::id_of(detail::self()), ops);
 }
 
 // -- scheduler ready set -----------------------------------------------------

@@ -63,6 +63,12 @@ struct ProfileStats {
   std::uint64_t burdened_span_ns = 0;  ///< T_inf + per-edge scheduler burden
   std::uint64_t overhead_ns = 0;       ///< dispatch/fork/exit/steal/lock time
   std::uint64_t fibers = 0;            ///< fibers seen (incl. main + dummies)
+  /// Deepest fork nesting (main = 1): the most threads a serial depth-first
+  /// execution holds live at once, the paper's `d`.
+  std::uint32_t fork_depth = 0;
+  /// Segments (fiber pieces between fork and join points) along the span
+  /// path, up to where it last grew: the D of the S1 + O(p·K·D) space bound.
+  std::uint32_t span_segments = 0;
 
   double parallelism() const {
     return span_ns ? static_cast<double>(work_ns) / static_cast<double>(span_ns)

@@ -34,23 +34,20 @@ bool header_readable(const Header* header) {
 #endif
 }
 
-}  // namespace
-
-std::size_t TrackedHeap::max_request_bytes() {
-  static const std::size_t limit = [] {
-    const long pages = sysconf(_SC_PHYS_PAGES);
-    const long page_size = sysconf(_SC_PAGE_SIZE);
-    std::size_t phys = SIZE_MAX;
-    if (pages > 0 && page_size > 0 &&
-        static_cast<std::size_t>(pages) <=
-            SIZE_MAX / static_cast<std::size_t>(page_size)) {
-      phys = static_cast<std::size_t>(pages) *
-             static_cast<std::size_t>(page_size);
-    }
-    return phys - sizeof(Header);
-  }();
-  return limit;
+/// Physical memory less one header: the largest request malloc could meet.
+std::size_t physical_request_limit() {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGE_SIZE);
+  std::size_t phys = SIZE_MAX;
+  if (pages > 0 && page_size > 0 &&
+      static_cast<std::size_t>(pages) <=
+          SIZE_MAX / static_cast<std::size_t>(page_size)) {
+    phys = static_cast<std::size_t>(pages) * static_cast<std::size_t>(page_size);
+  }
+  return phys - sizeof(Header);
 }
+
+}  // namespace
 
 // -- ShadowTable --------------------------------------------------------------
 
@@ -83,6 +80,8 @@ std::size_t ShadowTable::cell_count() const {
 }
 
 // -- TrackedHeap --------------------------------------------------------------
+
+TrackedHeap::TrackedHeap() : max_request_(physical_request_limit()) {}
 
 TrackedHeap& TrackedHeap::instance() {
   static TrackedHeap heap;

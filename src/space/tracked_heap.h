@@ -92,8 +92,9 @@ class TrackedHeap {
   /// Largest request worth handing to malloc: one that fits, with its
   /// header, in the host's physical memory. A larger one can never be met
   /// (and the sanitizer allocators abort on such sizes instead of returning
-  /// null), so allocate_ex refuses it outright.
-  static std::size_t max_request_bytes();
+  /// null), so allocate_ex refuses it outright. Read once, when instance()
+  /// first builds the heap, so every check is a plain load.
+  std::size_t max_request_bytes() const { return max_request_; }
 
   std::int64_t live_bytes() const { return live_.load(std::memory_order_relaxed); }
   std::int64_t peak_bytes() const { return peak_.load(std::memory_order_relaxed); }
@@ -127,13 +128,16 @@ class TrackedHeap {
   ShadowTable& shadow() { return shadow_; }
 
  private:
-  TrackedHeap() = default;
+  TrackedHeap();
 
   std::atomic<std::int64_t> live_{0};
   std::atomic<std::int64_t> peak_{0};
   std::atomic<std::uint64_t> allocs_{0};
   std::atomic<std::uint64_t> frees_{0};
   ShadowTable shadow_;
+  // After shadow_, so it neither shares a cache line with the counters,
+  // which every core writes on each allocation and free, nor shifts them.
+  const std::size_t max_request_;
 };
 
 }  // namespace dfth

@@ -5,7 +5,7 @@
 //
 // A block carries two references (Tcb::refs):
 //   * the handle side — dropped after the API-level join has read the child
-//     (result, race clock, recorder id), on detach, or at spawn for
+//     (result, race clock, profiler join edge), on detach, or at spawn for
 //     Attr::detached;
 //   * the exit side — dropped by the engine after the thread's final switch,
 //     once nothing touches the block again.

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "obs/profile.h"
 #include "runtime/api.h"
 
 namespace dfth {
@@ -224,18 +225,16 @@ TEST(Matmul, TotalOpsFormulaMatchesAnnotations) {
   std::vector<double> a(cfg.n * cfg.n), b(cfg.n * cfg.n), c(cfg.n * cfg.n);
   apps::matmul_fill(a.data(), cfg.n, 9);
   apps::matmul_fill(b.data(), cfg.n, 10);
-  // Use the recorder to sum annotated ops and compare to the formula.
-  Recorder rec;
+  // Under the unit-ops preset the profiler's work is the annotated ops.
+  obs::Profiler prof;
   RuntimeOptions o;
   o.engine = EngineKind::Sim;
   o.sched = SchedKind::Lifo;
   o.nprocs = 1;
-  o.recorder = &rec;
+  o.cost = CostModel::unit_ops();
+  o.profiler = &prof;
   run(o, [&] { apps::matmul_threaded(a.data(), b.data(), c.data(), cfg); });
-  Graph g = rec.take();
-  std::uint64_t total = 0;
-  for (const auto& seg : g.segments) total += seg.ops;
-  EXPECT_EQ(total, apps::matmul_total_ops(cfg));
+  EXPECT_EQ(prof.stats().work_ns, apps::matmul_total_ops(cfg));
 }
 
 }  // namespace

@@ -2,13 +2,18 @@
 // SimEngine busy invariant (work + overhead == p * elapsed - idle), the
 // Brent prediction bracket on a real app, and the exactness guarantees of
 // the attribution outputs (critical-path segments sum to the span,
-// collapsed stacks sum to the work).
+// collapsed stacks sum to the work), and the DAG quantities of the paper's
+// space bound (fork depth d, span segments D), read in annotated ops under
+// CostModel::unit_ops().
 #include "obs/profile.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <source_location>
+#include <string>
 #include <vector>
 
 #include "apps/matmul/matmul.h"
@@ -26,6 +31,15 @@ RuntimeOptions prof_opts(obs::Profiler* prof, int nprocs,
   o.nprocs = nprocs;
   o.default_stack_size = engine == EngineKind::Sim ? (8 << 10) : (64 << 10);
   o.profiler = prof;
+  return o;
+}
+
+/// prof_opts under the unit-ops preset: work_ns and span_ns are T1 and T∞
+/// in annotated ops.
+RuntimeOptions unit_opts(obs::Profiler* prof, int nprocs,
+                         EngineKind engine = EngineKind::Sim) {
+  RuntimeOptions o = prof_opts(prof, nprocs, engine);
+  o.cost = CostModel::unit_ops();
   return o;
 }
 
@@ -208,6 +222,137 @@ TEST(ProfileTest, StatsMergedIntoRunStats) {
   EXPECT_FALSE(bare.profile.enabled);
   EXPECT_EQ(bare.profile.work_ns, 0u);
 }
+
+// -- the DAG in annotated ops ------------------------------------------------
+// Direct Profiler calls drive a hand-built DAG; runtime cases use the
+// unit-ops preset so that one annotated op is one ns of work.
+
+TEST(Analysis, SingleThreadSingleSegment) {
+  obs::Profiler prof;
+  prof.thread_start(1, 0, 0, "main", 0);
+  prof.work(1, 500);
+  prof.work(1, 250);
+  prof.end_run(0, 1);
+  const ProfileStats& p = prof.stats();
+  EXPECT_EQ(p.work_ns, 750u);
+  EXPECT_EQ(p.span_ns, 750u);
+  EXPECT_EQ(p.span_segments, 1u);
+  EXPECT_EQ(p.fork_depth, 1u);
+  EXPECT_EQ(p.fibers, 1u);
+}
+
+TEST(Analysis, ForkSplitsParentSegment) {
+  obs::Profiler prof;
+  prof.thread_start(1, 0, 0, "main", 0);
+  prof.work(1, 100);
+  prof.thread_start(2, 1, 0, "fork.cpp", 1);  // thread 1 forks thread 2
+  prof.work(1, 10);
+  prof.work(2, 200);
+  prof.exit_fiber(2, 0);
+  prof.join_edge(1, 2, 0);
+  prof.work(1, 30);
+  // A fork and join of an empty t3 add segments but no span.
+  prof.thread_start(3, 1, 0, "fork.cpp", 2);
+  prof.exit_fiber(3, 0);
+  prof.join_edge(1, 3, 0);
+  prof.end_run(0, 1);
+  // Segments: t1-a (100), t1-b (10), t2 (200), t1-c (30), then t1-d, t3
+  // and t1-e (0 each).
+  const ProfileStats& p = prof.stats();
+  EXPECT_EQ(p.work_ns, 340u);
+  EXPECT_EQ(p.fibers, 3u);
+  // Critical path: t1-a -> t2 -> t1-c = 100+200+30. D counts its three
+  // segments up to t1-c, where the span last grew, not t1-e.
+  EXPECT_EQ(p.span_ns, 330u);
+  EXPECT_EQ(p.span_segments, 3u);
+  EXPECT_EQ(p.fork_depth, 2u);
+}
+
+TEST(Analysis, EndToEndThroughRuntime) {
+  obs::Profiler prof;
+  run(unit_opts(&prof, 2), [] {
+    annotate_work(100);
+    auto a = spawn([]() -> void* {
+      annotate_work(400);
+      return nullptr;
+    });
+    auto b = spawn([]() -> void* {
+      annotate_work(300);
+      return nullptr;
+    });
+    join(a);
+    join(b);
+    annotate_work(50);
+  });
+  const ProfileStats& p = prof.stats();
+  EXPECT_EQ(p.work_ns, 850u);
+  EXPECT_EQ(p.fibers, 3u);
+  // Span: 100 -> max(400, 300) -> 50.
+  EXPECT_EQ(p.span_ns, 550u);
+  EXPECT_NEAR(p.parallelism(), 850.0 / 550.0, 1e-9);
+}
+
+TEST(Analysis, DeepForkChainDepth) {
+  obs::Profiler prof;
+  prof.thread_start(1, 0, 0, "main", 0);
+  for (std::uint64_t t = 2; t <= 6; ++t) prof.thread_start(t, t - 1, 0, "chain.cpp", 1);
+  prof.end_run(0, 1);
+  EXPECT_EQ(prof.stats().fork_depth, 6u);
+}
+
+TEST(Analysis, EmptyGraph) {
+  obs::Profiler prof;
+  prof.end_run(0, 1);
+  const ProfileStats& p = prof.stats();
+  EXPECT_EQ(p.work_ns, 0u);
+  EXPECT_EQ(p.span_ns, 0u);
+  EXPECT_EQ(p.fibers, 0u);
+  EXPECT_EQ(p.fork_depth, 0u);
+  EXPECT_EQ(p.span_segments, 0u);
+}
+
+// A main that forks before any charge of its own must still hand its first
+// child a fork edge: the child nests under main and inherits its span.
+class RootForkTest : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(RootForkTest, FirstChildOfUnannotatedMainGetsForkEdge) {
+  const bool sim = GetParam() == EngineKind::Sim;
+  const std::source_location site = std::source_location::current();
+  obs::Profiler prof;
+  run(unit_opts(&prof, 2, GetParam()), [&] {
+    join(spawn(
+        [sim]() -> void* {
+          if (sim) {
+            annotate_work(5);
+          } else {  // Real charges wall time: spin so the child is the span
+            const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+          }
+          return nullptr;
+        },
+        Attr{}, site));
+    annotate_work(2);
+  });
+  const ProfileStats& p = prof.stats();
+  EXPECT_EQ(p.fibers, 2u);
+  EXPECT_EQ(p.fork_depth, 2u);
+  if (sim) {
+    EXPECT_EQ(p.work_ns, 7u);
+    EXPECT_EQ(p.span_ns, 7u);
+    EXPECT_EQ(p.span_segments, 3u);
+  } else {
+    EXPECT_LE(p.span_ns, p.work_ns);
+    const std::vector<obs::CritSegment> crit = prof.critical_path();
+    ASSERT_FALSE(crit.empty());
+    const std::string label = "profile_test.cpp:" + std::to_string(site.line());
+    EXPECT_NE(crit.front().stack.find(label), std::string::npos) << crit.front().stack;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, RootForkTest,
+                         ::testing::Values(EngineKind::Sim, EngineKind::Real),
+                         [](const auto& info) { return std::string(to_string(info.param)); });
 
 }  // namespace
 }  // namespace dfth

@@ -76,7 +76,7 @@ TEST_P(EngineLifecycle, ExpiredDeadlineCancelsAtDispatchAndCounts) {
 TEST_P(EngineLifecycle, ImpossibleAllocationFailsBeforeDummiesAndRecovery) {
   constexpr std::size_t kQuota = std::size_t{1} << 40;
   constexpr std::size_t kRequest = std::size_t{1} << 50;
-  ASSERT_GT(kRequest, TrackedHeap::max_request_bytes());
+  ASSERT_GT(kRequest, TrackedHeap::instance().max_request_bytes());
   RuntimeOptions o = opts();
   o.mem_quota = kQuota;
   DfStatus status = DfStatus::kOk;

@@ -7,13 +7,18 @@
 //  * FIFO live threads dominate AsyncDF's on every generated program.
 //  * All schedulers compute identical results (schedule-invariance).
 //  * Simulated time is deterministic and Brent-consistent.
+//
+// T1, T∞, the fork depth d and the span's segment count D come from the
+// work/span profiler on a Sim run under CostModel::unit_ops(), where one
+// annotated op is one virtual ns and every overhead is zero.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "graph/analysis.h"
+#include "obs/profile.h"
 #include "runtime/api.h"
 #include "util/rng.h"
 
@@ -74,6 +79,17 @@ struct RandomProgram {
   long long operator()() const { return run_node(Rng(seed), 0); }
 };
 
+/// Runs `prog` profiled under the unit-ops preset: RunStats::profile reads
+/// the program's DAG in annotated ops, and elapsed_us is T_p over it.
+RunStats unit_run(const RandomProgram& prog, SchedKind sched, int nprocs,
+                  std::size_t quota = 32 << 10) {
+  obs::Profiler prof;
+  RuntimeOptions o = sim_opts(sched, nprocs, quota);
+  o.cost = CostModel::unit_ops();
+  o.profiler = &prof;
+  return run(o, [&] { prog(); });
+}
+
 class RandomProgramTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomProgramTest, AllSchedulersComputeTheSameResult) {
@@ -96,30 +112,26 @@ TEST_P(RandomProgramTest, AllSchedulersComputeTheSameResult) {
 
 TEST_P(RandomProgramTest, AsyncDfLiveThreadsNearSerialDepth) {
   RandomProgram prog{GetParam(), 6};
-  // Ground truth from the recorded computation graph.
-  Recorder rec;
-  RuntimeOptions o = sim_opts(SchedKind::AsyncDf, 1);
-  o.recorder = &rec;
-  const RunStats serial = run(o, [&] { prog(); });
-  const GraphSummary g = analyze(rec.take());
+  // Ground truth from the program's DAG; live threads from a default-cost
+  // run: under the preset, threads born and finished at one virtual instant
+  // count as coexisting, which reads 1-2 above the default-cost peak.
+  const ProfileStats g = unit_run(prog, SchedKind::AsyncDf, 1).profile;
+  const RunStats serial = run(sim_opts(SchedKind::AsyncDf, 1), [&] { prog(); });
 
   // p = 1: live threads bounded by the serial fork depth plus a small
   // constant (dummy-thread trees for >K allocations add up to ~log(delta)).
-  EXPECT_LE(serial.max_live_threads,
-            static_cast<std::int64_t>(g.serial_live_depth) + 8)
-      << "depth " << g.serial_live_depth;
+  EXPECT_LE(serial.max_live_threads, static_cast<std::int64_t>(g.fork_depth) + 8)
+      << "depth " << g.fork_depth;
 
   // p = 8: the bound gains an O(p) factor on the depth term.
   const RunStats par = run(sim_opts(SchedKind::AsyncDf, 8), [&] { prog(); });
-  EXPECT_LE(par.max_live_threads,
-            static_cast<std::int64_t>(8 * (g.serial_live_depth + 8)));
+  EXPECT_LE(par.max_live_threads, static_cast<std::int64_t>(8 * (g.fork_depth + 8)));
 
   // FIFO, for contrast, holds essentially every thread at once on the same
   // program (total threads ~ segment count's thread census).
   const RunStats fifo = run(sim_opts(SchedKind::Fifo, 1), [&] { prog(); });
   EXPECT_GE(fifo.max_live_threads, par.max_live_threads);
-  EXPECT_GE(fifo.max_live_threads,
-            static_cast<std::int64_t>(g.thread_count) / 2);
+  EXPECT_GE(fifo.max_live_threads, static_cast<std::int64_t>(g.fibers) / 2);
 }
 
 TEST_P(RandomProgramTest, AsyncDfHeapWithinS1PlusPkd) {
@@ -129,11 +141,7 @@ TEST_P(RandomProgramTest, AsyncDfHeapWithinS1PlusPkd) {
   RunStats serial = run(sim_opts(SchedKind::AsyncDf, 1, quota), [&] { prog(); });
   const auto s1 = serial.heap_peak;
 
-  Recorder rec;
-  RuntimeOptions o = sim_opts(SchedKind::AsyncDf, 1, quota);
-  o.recorder = &rec;
-  run(o, [&] { prog(); });
-  const GraphSummary g = analyze(rec.take());
+  const ProfileStats g = unit_run(prog, SchedKind::AsyncDf, 1, quota).profile;
 
   for (int p : {2, 4, 8}) {
     const RunStats stats = run(sim_opts(SchedKind::AsyncDf, p, quota), [&] { prog(); });
@@ -146,6 +154,29 @@ TEST_P(RandomProgramTest, AsyncDfHeapWithinS1PlusPkd) {
     // And the useful direction: far below FIFO on the same p.
     const RunStats fifo = run(sim_opts(SchedKind::Fifo, p, quota), [&] { prog(); });
     EXPECT_LE(stats.heap_peak, fifo.heap_peak * 110 / 100) << "p=" << p;
+  }
+}
+
+TEST_P(RandomProgramTest, UnitCostBrentBracketHolds) {
+  RandomProgram prog{GetParam(), 6};
+  for (SchedKind sched : {SchedKind::Fifo, SchedKind::Lifo, SchedKind::AsyncDf,
+                          SchedKind::WorkSteal, SchedKind::ClusteredAdf,
+                          SchedKind::DfDeques}) {
+    for (int p : {1, 2, 4, 8}) {
+      const RunStats stats = unit_run(prog, sched, p);
+      // With every overhead zero, each scheduler is greedy over the DAG the
+      // profiler measured: Brent's bound brackets the simulated time,
+      // max(T1/p, T∞) <= T_p <= T1/p + T∞, here multiplied through by p.
+      const auto t1 = static_cast<long long>(stats.profile.work_ns);
+      const auto tinf = static_cast<long long>(stats.profile.span_ns);
+      const long long tp = std::llround(stats.elapsed_us * 1000.0);
+      EXPECT_LE(t1, p * tp) << to_string(sched) << " p=" << p;
+      EXPECT_LE(tinf, tp) << to_string(sched) << " p=" << p;
+      EXPECT_LE(p * tp, t1 + p * tinf) << to_string(sched) << " p=" << p;
+      if (sched == SchedKind::AsyncDf && p == 1) {
+        EXPECT_EQ(tp, t1) << "a serial AsyncDF run does exactly the work";
+      }
+    }
   }
 }
 

@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
-# Sim parity check for engine refactors: runs the six examples/ on the
-# SimEngine from two build trees and diffs their RunStats JSON. Sim is
-# deterministic, so a refactor that keeps behaviour keeps every number.
+# Sim parity check for engine and profiler refactors: runs the six
+# examples/ on the SimEngine from two build trees and diffs their RunStats
+# JSON, then runs bench/prof_apps from both and compares every
+# PROF_<app>.json byte for byte. Sim is deterministic, so a refactor that
+# keeps behaviour keeps every number and every profile.
 #
 #   tools/sim_parity.sh PARENT_BUILD CHANGE_BUILD
 #
 # Each build tree is a configured-and-built default tree (its examples/
-# directory holds the six demo binaries). Examples that take --sched run
-# under all six schedulers; the others run their fixed configuration.
-# Each case runs twice from PARENT_BUILD first: a field that differs
-# between those two runs is not deterministic and is left out of the diff
-# (and named). Exit status 0 means every compared field matched; 1 lists
-# each case and field that differs.
+# directory holds the six demo binaries, its bench/ directory prof_apps).
+# Examples that take --sched run under all six schedulers; the others run
+# their fixed configuration. Each case runs twice from PARENT_BUILD first:
+# a field (or a PROF file) that differs between those two runs is not
+# deterministic and is left out of the comparison (and named). Exit status
+# 0 means everything compared matched; 1 lists each case, field or file
+# that differs.
 set -u
 
 if [[ $# -ne 2 ]]; then
@@ -72,4 +75,33 @@ if diffs:
 print(f"same  {case}: {len(p1) - len(unstable)} fields{note}")
 EOF
 done
+
+# Second pass: the seven apps' work/span profiles. Each prof_apps run gets its
+# own directory, since it writes PROF_<app>.json into the working directory.
+prof_run() {
+  local build="$1" dir="$2"
+  mkdir -p "$dir" && (cd "$dir" && "$build/bench/prof_apps" --max-procs 8 > /dev/null) || {
+    echo "FAIL: $build/bench/prof_apps exited non-zero" >&2
+    return 1
+  }
+}
+shopt -s nullglob
+if prof_run "$parent" "$work/prof.p1" && prof_run "$parent" "$work/prof.p2" &&
+   prof_run "$change" "$work/prof.c"; then
+  profs=("$work"/prof.p1/PROF_*.json)
+  [[ ${#profs[@]} -gt 0 ]] || { echo "FAIL: parent prof_apps wrote no PROF_*.json" >&2; status=1; }
+  for f in "${profs[@]}"; do
+    name="$(basename "$f")"
+    if ! cmp -s "$f" "$work/prof.p2/$name"; then
+      echo "skip  prof_apps: $name (differs run to run)"
+    elif cmp -s "$f" "$work/prof.c/$name"; then
+      echo "same  prof_apps: $name"
+    else
+      echo "DIFF  prof_apps: $name differs byte for byte"
+      status=1
+    fi
+  done
+else
+  status=1
+fi
 exit $status
